@@ -10,7 +10,7 @@ strategies over seeded replications.
 
 from .agents import (
     Appointment, NurseAgent, PwDAgent, SmartWatch, assign_calls, nurse_step,
-    pwd_step, watch_step,
+    watch_step,
 )
 from .engine import (
     InvalidScenarioError, NurseConfig, PwDConfig, Scenario, WatchConfig,
@@ -19,8 +19,8 @@ from .engine import (
 from .events import Event, EventLog
 from .experiment import (
     Aggregate, InsufficientSitesError, ScenarioTemplate, Strategy,
-    SweepConfig, SweepRow, aggregate, expand_sweep, generate_schedule,
-    paper_strategies, run_sweep,
+    SweepConfig, SweepRow, aggregate, generate_schedule, paper_strategies,
+    run_sweep,
 )
 from .grid import (
     DisconnectedMapError, GridMap, MapError, MissingRoleError, Position,
@@ -44,8 +44,8 @@ __all__ = [
     "SmartWatch", "Strategy", "SweepConfig", "SweepRow", "TripRecord",
     "UnknownAgentError", "UnknownGlyphError", "UnreachableError",
     "WatchConfig", "aggregate", "assign_calls", "autonomy", "build_report",
-    "derive_stream", "expand_sweep", "generate_schedule", "line_of_sight",
+    "derive_stream", "generate_schedule", "line_of_sight",
     "load_scenario", "nurse_efficiency", "nurse_step", "paper_strategies",
-    "parse_map", "pwd_step", "run_simulation", "run_sweep", "serialize_map",
+    "parse_map", "run_simulation", "run_sweep", "serialize_map",
     "shortest_path", "travel_efficiency", "trip_records", "watch_step",
 ]

@@ -67,7 +67,6 @@ class PwDStreams:
 
 @dataclass(slots=True)
 class SmartWatch:
-    owner: str
     enabled: bool
     p_detect: float
     n_help: int
@@ -165,12 +164,15 @@ def _start_trip(pwd: PwDAgent, grid: GridMap, tick: int, goal: str, leg: str,
         "trip": trip.trip_id, "leg": leg, "goal": goal, "nominal": trip.nominal}))
 
 
-def _end_episode(pwd: PwDAgent) -> None:
+def _reorient(pwd: PwDAgent, watch: SmartWatch | None) -> None:
+    """Clear the resident's disorientation and re-arm the watch.
+
+    The episode id is left to the caller: guidance still reports it.
+    """
     pwd.disoriented = False
     pwd.false_goal = None
-    pwd.episode = None
-    if pwd.watch is not None:
-        pwd.watch.reset()
+    if watch is not None:
+        watch.reset()
 
 
 def _sample_false_goal(pwd: PwDAgent, grid: GridMap, true_goal: str) -> str | None:
@@ -192,7 +194,8 @@ def pwd_begin_tick(pwd: PwDAgent, grid: GridMap, tick: int,
         events.append(Event(tick, "A", TRIP_END, pwd.id, {
             "trip": trip.trip_id, "leg": trip.leg, "goal": trip.goal,
             "nominal": trip.nominal, "taken": tick - trip.start_tick}))
-        _end_episode(pwd)
+        _reorient(pwd, pwd.watch)
+        pwd.episode = None
         pwd.trip = None
         if trip.leg == LEG_OUT:
             pwd.mode = PWD_AT_APPOINTMENT
@@ -262,14 +265,6 @@ def pwd_move(pwd: PwDAgent, grid: GridMap, tick: int,
     pwd.position = grid.step_toward_label(pwd.position, target)
 
 
-def pwd_step(pwd: PwDAgent, grid: GridMap, tick: int) -> list[Event]:
-    """Scheduling plus movement in one call, for isolated harnesses."""
-    events: list[Event] = []
-    pwd_begin_tick(pwd, grid, tick, events)
-    pwd_move(pwd, grid, tick, events)
-    return events
-
-
 # -- smart-watch -----------------------------------------------------------
 
 
@@ -293,10 +288,8 @@ def watch_step(watch: SmartWatch, owner: PwDAgent, tick: int,
         if watch.intervene_rng.random() < owner.p_i:
             events.append(Event(tick, "B", INTERVENTION_SUCCESS, owner.id,
                                 {"episode": owner.episode}))
-            owner.disoriented = False
-            owner.false_goal = None
+            _reorient(owner, watch)
             owner.episode = None
-            watch.reset()
         else:
             watch.fail_count += 1
             events.append(Event(tick, "B", INTERVENTION_FAIL, owner.id, {
@@ -319,9 +312,19 @@ def _call_nurse(watch: SmartWatch, owner: PwDAgent, tick: int,
 # -- dispatch and nurses ---------------------------------------------------
 
 
-def _drop_call(call: Call, reason: str, tick: int, events: list[Event]) -> None:
+def _live_call_target(call: Call, ctx: WorldContext, tick: int,
+                      events: list[Event]) -> PwDAgent | None:
+    """The resident a queued call is for, or None after dropping it as stale."""
+    pwd = ctx.by_id[call.pwd_id]
+    if not pwd.disoriented:
+        reason = "resolved"
+    elif pwd.id in ctx.assignments:
+        reason = "duplicate"
+    else:
+        return pwd
     events.append(Event(tick, "B", CALL_DROPPED, call.pwd_id,
                         {"episode": call.episode, "reason": reason}))
+    return None
 
 
 def _begin_response(nurse: NurseAgent, pwd: PwDAgent, via: str, phase: str,
@@ -348,12 +351,8 @@ def assign_calls(ctx: WorldContext, tick: int, events: list[Event]) -> None:
     pending: list[Call] = []
     while ctx.queue:
         call = ctx.queue.popleft()
-        pwd = ctx.by_id[call.pwd_id]
-        if not pwd.disoriented:
-            _drop_call(call, "resolved", tick, events)
-            continue
-        if pwd.id in ctx.assignments:
-            _drop_call(call, "duplicate", tick, events)
+        pwd = _live_call_target(call, ctx, tick, events)
+        if pwd is None:
             continue
         if not free:
             pending.append(call)
@@ -369,16 +368,10 @@ def assign_calls(ctx: WorldContext, tick: int, events: list[Event]) -> None:
 def _take_next_call(nurse: NurseAgent, ctx: WorldContext, tick: int,
                     events: list[Event]) -> bool:
     while ctx.queue:
-        call = ctx.queue.popleft()
-        pwd = ctx.by_id[call.pwd_id]
-        if not pwd.disoriented:
-            _drop_call(call, "resolved", tick, events)
-            continue
-        if pwd.id in ctx.assignments:
-            _drop_call(call, "duplicate", tick, events)
-            continue
-        _begin_response(nurse, pwd, "call", "C", ctx, tick, events)
-        return True
+        pwd = _live_call_target(ctx.queue.popleft(), ctx, tick, events)
+        if pwd is not None:
+            _begin_response(nurse, pwd, "call", "C", ctx, tick, events)
+            return True
     return False
 
 
@@ -398,10 +391,7 @@ def _begin_guidance(nurse: NurseAgent, pwd: PwDAgent, tick: int,
     nurse.state = NURSE_GUIDING
     pwd.mode = PWD_GUIDED
     pwd.guide_nurse = nurse.id
-    pwd.disoriented = False
-    pwd.false_goal = None
-    if pwd.watch is not None:
-        pwd.watch.reset()
+    _reorient(pwd, pwd.watch)
     events.append(Event(tick, "C", GUIDANCE_START, nurse.id,
                         {"pwd": pwd.id, "episode": pwd.episode}))
 

@@ -158,8 +158,8 @@ def _build_agents(scenario: Scenario) -> tuple[list[PwDAgent], list[NurseAgent]]
         )
         wcfg = scenario.watch_for(cfg.id)
         watch = SmartWatch(
-            owner=cfg.id, enabled=wcfg.enabled, p_detect=wcfg.p_detect,
-            n_help=wcfg.n_help, intervention_interval=wcfg.intervention_interval,
+            enabled=wcfg.enabled, p_detect=wcfg.p_detect, n_help=wcfg.n_help,
+            intervention_interval=wcfg.intervention_interval,
             detect_rng=derive_stream(seed, cfg.id, "detect"),
             intervene_rng=derive_stream(seed, cfg.id, "intervene"),
         )
@@ -228,8 +228,8 @@ def run_simulation(scenario: Scenario, *, fast_forward: bool = True) -> EventLog
                    [p.id for p in pwds], [n.id for n in nurses])
     events = log.events
     queue = ctx.queue
-    pwd_tallies = [(p, log.pwd_mode_seq[p.id]) for p in pwds]
-    nurse_tallies = [(n, log.nurse_state_seq[n.id]) for n in nurses]
+    pwd_tallies = [(p, log.pwd_mode_ticks[p.id]) for p in pwds]
+    nurse_tallies = [(n, log.nurse_state_ticks[n.id]) for n in nurses]
 
     tick = 0
     while tick < horizon:
@@ -242,19 +242,19 @@ def run_simulation(scenario: Scenario, *, fast_forward: bool = True) -> EventLog
             nurse_step(nurse, ctx, tick, events)
         for pwd in pwds:
             pwd_move(pwd, grid, tick, events)
-        for pwd, seq in pwd_tallies:
-            seq.append(pwd.mode)
-        for nurse, seq in nurse_tallies:
-            seq.append(nurse.state)
+        for pwd, ticks in pwd_tallies:
+            ticks[pwd.mode] += 1
+        for nurse, ticks in nurse_tallies:
+            ticks[nurse.state] += 1
         tick += 1
 
         if fast_forward and tick < horizon:
             wake = _quiet_until(ctx, horizon)
             if wake is not None and wake > tick:
                 delta = min(wake, horizon) - tick
-                for pwd, seq in pwd_tallies:
-                    seq.extend(bytes((pwd.mode,)) * delta)
-                for nurse, seq in nurse_tallies:
-                    seq.extend(bytes((nurse.state,)) * delta)
+                for pwd, ticks in pwd_tallies:
+                    ticks[pwd.mode] += delta
+                for nurse, ticks in nurse_tallies:
+                    ticks[nurse.state] += delta
                 tick += delta
     return log

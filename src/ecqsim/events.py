@@ -1,8 +1,8 @@
 """Event records and the run log they accumulate into.
 
 Every turn of the simulation appends events in a canonical order
-(tick, phase, agent).  The log also carries per-tick state tallies for
-each agent; metrics are computed from the log alone.
+(tick, phase, agent).  The log also counts, for each agent, the ticks
+spent in each mode or state; metrics are computed from the log alone.
 
 The text form is newline-delimited: header lines, per-agent tally
 lines, then one ``tick,phase,kind,subject,k=v,...`` line per event.
@@ -66,7 +66,7 @@ class Event:
 
 
 class EventLog:
-    """Ordered event list plus per-tick agent-state tallies for one run."""
+    """Ordered event list plus per-agent tick counts by mode or state."""
 
     def __init__(self, horizon: int, seed: int,
                  pwd_ids: list[str], nurse_ids: list[str]):
@@ -75,9 +75,11 @@ class EventLog:
         self.pwd_ids = list(pwd_ids)
         self.nurse_ids = list(nurse_ids)
         self.events: list[Event] = []
-        # Per-tick sequences; byte value = mode/state code at that tick.
-        self.pwd_mode_seq: dict[str, bytearray] = {p: bytearray() for p in pwd_ids}
-        self.nurse_state_seq: dict[str, bytearray] = {n: bytearray() for n in nurse_ids}
+        # Ticks spent in each mode/state, indexed by its code.
+        self.pwd_mode_ticks: dict[str, list[int]] = \
+            {p: [0] * len(PWD_MODE_NAMES) for p in pwd_ids}
+        self.nurse_state_ticks: dict[str, list[int]] = \
+            {n: [0] * len(NURSE_STATE_NAMES) for n in nurse_ids}
 
     def append(self, event: Event) -> None:
         self.events.append(event)
@@ -85,12 +87,10 @@ class EventLog:
     # -- tallies ---------------------------------------------------------
 
     def pwd_mode_counts(self, pwd_id: str) -> tuple[int, int, int, int]:
-        seq = self.pwd_mode_seq[pwd_id]
-        return tuple(seq.count(code) for code in range(4))  # type: ignore[return-value]
+        return tuple(self.pwd_mode_ticks[pwd_id])  # type: ignore[return-value]
 
     def nurse_state_counts(self, nurse_id: str) -> tuple[int, int, int]:
-        seq = self.nurse_state_seq[nurse_id]
-        return tuple(seq.count(code) for code in range(3))  # type: ignore[return-value]
+        return tuple(self.nurse_state_ticks[nurse_id])  # type: ignore[return-value]
 
     # -- serialization ---------------------------------------------------
 
@@ -116,8 +116,9 @@ class EventLog:
 
     @classmethod
     def from_text(cls, text: str) -> "EventLog":
+        """Parse :meth:`to_text` output; raise ValueError on a corrupt log."""
         lines = text.splitlines()
-        if not lines or lines[0] != "ecqsim-log v1":
+        if len(lines) < 5 or lines[0] != "ecqsim-log v1":
             raise ValueError("not an ecqsim event log")
         horizon = int(lines[1].split(" ", 1)[1])
         seed = int(lines[2].split(" ", 1)[1])
@@ -125,29 +126,29 @@ class EventLog:
         nurse_ids = lines[4].split()[1:]
         log = cls(horizon, seed, pwd_ids, nurse_ids)
 
+        names = {p: PWD_MODE_NAMES for p in pwd_ids}
+        names.update((n, NURSE_STATE_NAMES) for n in nurse_ids)
+        ticks = {**log.pwd_mode_ticks, **log.nurse_state_ticks}
         idx = 5
-        tally_counts: dict[str, list[int]] = {}
         while idx < len(lines) and lines[idx].startswith("tally "):
-            parts = lines[idx].split()
-            tally_counts[parts[1]] = [int(p.split("=")[1]) for p in parts[2:]]
+            agent_id, *fields = lines[idx].split()[1:]
+            expected = names.pop(agent_id, None)
+            pairs = [field.partition("=") for field in fields]
+            if expected is None or tuple(key for key, _, _ in pairs) != expected:
+                raise ValueError(f"bad tally line: {lines[idx]!r}")
+            ticks[agent_id][:] = [int(value) for _, _, value in pairs]
+            if sum(ticks[agent_id]) != horizon:
+                raise ValueError(f"tally of {agent_id} does not sum to horizon {horizon}")
             idx += 1
-        # Rebuild flat sequences from counts: metrics only consume totals,
-        # so the per-tick ordering of a parsed log is not preserved.
-        for pwd_id in pwd_ids:
-            seq = bytearray()
-            for code, n in enumerate(tally_counts.get(pwd_id, [])):
-                seq.extend(bytes([code]) * n)
-            log.pwd_mode_seq[pwd_id] = seq
-        for nurse_id in nurse_ids:
-            seq = bytearray()
-            for code, n in enumerate(tally_counts.get(nurse_id, [])):
-                seq.extend(bytes([code]) * n)
-            log.nurse_state_seq[nurse_id] = seq
+        if names:
+            raise ValueError("missing tally for " + " ".join(names))
 
         if idx >= len(lines) or not lines[idx].startswith("events "):
             raise ValueError("missing events header")
         count = int(lines[idx].split(" ", 1)[1])
-        idx += 1
-        for line in lines[idx:idx + count]:
+        event_lines = lines[idx + 1:idx + 1 + count]
+        if len(event_lines) < count:
+            raise ValueError(f"log ends after {len(event_lines)} of {count} events")
+        for line in event_lines:
             log.append(Event.from_line(line))
         return log

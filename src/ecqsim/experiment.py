@@ -242,15 +242,6 @@ def scenario_for(config: SweepConfig, coords: SweepCoords) -> Scenario:
         p_d=coords.p_d, watch=watch)
 
 
-def expand_sweep(config: SweepConfig) -> list[tuple[SweepCoords, Scenario]]:
-    """Full cross product of levels x strategies x replications."""
-    problems = config.validate()
-    if problems:
-        raise ValueError("; ".join(problems))
-    return [(coords, scenario_for(config, coords))
-            for coords in iter_coords(config)]
-
-
 def rows_for_run(coords: SweepCoords, report: MetricReport) -> list[SweepRow]:
     rows = []
 

@@ -7,8 +7,10 @@ Three per-agent values, all percentages:
   travel efficiency 100 * nominal / taken, averaged over the
                     resident's completed trips                 per resident
 
-Values are computed from integer tick counts with a single division, and
-rounded only when serialized.  A resident with no completed trip has no
+Autonomy and nurse efficiency read the log's per-agent tick counts;
+travel efficiency and the activity counts come from one pass over the
+events.  Values are computed from integer tick counts with a single
+division, and rounded only when serialized.  A resident with no completed trip has no
 travel-efficiency value (absent, never zero).
 """
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 from .events import (
     DISORIENTATION_START, NURSE_CALLED, NURSE_INACTIVE, PWD_GUIDED,
-    TRIP_END, TRIP_START, EventLog,
+    TRIP_END, TRIP_START, Event, EventLog,
 )
 
 
@@ -73,9 +75,9 @@ class MetricReport:
 
 def autonomy(log: EventLog, pwd_id: str) -> float:
     """Share of the run the resident was not nurse-guided, as a percent."""
-    if pwd_id not in log.pwd_mode_seq:
+    if pwd_id not in log.pwd_mode_ticks:
         raise UnknownAgentError(pwd_id)
-    guided = log.pwd_mode_seq[pwd_id].count(PWD_GUIDED)
+    guided = log.pwd_mode_ticks[pwd_id][PWD_GUIDED]
     return 100.0 * (log.horizon - guided) / log.horizon
 
 
@@ -84,33 +86,43 @@ def nurse_efficiency(log: EventLog, nurse_id: str) -> float:
 
     Responding and guiding both count as active time.
     """
-    if nurse_id not in log.nurse_state_seq:
+    if nurse_id not in log.nurse_state_ticks:
         raise UnknownAgentError(nurse_id)
-    inactive = log.nurse_state_seq[nurse_id].count(NURSE_INACTIVE)
+    inactive = log.nurse_state_ticks[nurse_id][NURSE_INACTIVE]
     return 100.0 * inactive / log.horizon
+
+
+def _pair_trip(records: dict[str, TripRecord], event: Event) -> None:
+    """Open a record on a trip start; complete it on the matching end."""
+    if event.kind == TRIP_START:
+        trip_id = str(event.payload["trip"])
+        records[trip_id] = TripRecord(
+            pwd=event.subject, trip_id=trip_id,
+            t_nominal=int(event.payload["nominal"]),
+            t_taken=None, completed=False)
+    elif event.kind == TRIP_END:
+        record = records.get(str(event.payload["trip"]))
+        if record is not None:
+            record.t_taken = int(event.payload["taken"])
+            record.completed = True
 
 
 def trip_records(log: EventLog, pwd_id: str | None = None) -> list[TripRecord]:
     """Pair trip start/end events into per-trip records, in start order."""
-    if pwd_id is not None and pwd_id not in log.pwd_mode_seq:
+    if pwd_id is not None and pwd_id not in log.pwd_mode_ticks:
         raise UnknownAgentError(pwd_id)
     records: dict[str, TripRecord] = {}
     for event in log.events:
-        if event.kind == TRIP_START:
-            if pwd_id is not None and event.subject != pwd_id:
-                continue
-            trip_id = str(event.payload["trip"])
-            records[trip_id] = TripRecord(
-                pwd=event.subject, trip_id=trip_id,
-                t_nominal=int(event.payload["nominal"]),
-                t_taken=None, completed=False)
-        elif event.kind == TRIP_END:
-            trip_id = str(event.payload["trip"])
-            record = records.get(trip_id)
-            if record is not None:
-                record.t_taken = int(event.payload["taken"])
-                record.completed = True
-    return list(records.values())
+        _pair_trip(records, event)
+    return [r for r in records.values() if pwd_id is None or r.pwd == pwd_id]
+
+
+def _mean_trip_efficiency(records: list[TripRecord]) -> float | None:
+    ratios = [100.0 if r.t_taken == 0 else 100.0 * r.t_nominal / r.t_taken
+              for r in records if r.completed]
+    if not ratios:
+        return None
+    return sum(ratios) / len(ratios)
 
 
 def travel_efficiency(log: EventLog, pwd_id: str) -> float | None:
@@ -118,32 +130,36 @@ def travel_efficiency(log: EventLog, pwd_id: str) -> float | None:
 
     Returns None when the resident completed no trip within the horizon.
     """
-    ratios = [100.0 if r.t_taken == 0 else 100.0 * r.t_nominal / r.t_taken
-              for r in trip_records(log, pwd_id) if r.completed]
-    if not ratios:
-        return None
-    return sum(ratios) / len(ratios)
+    return _mean_trip_efficiency(trip_records(log, pwd_id))
 
 
 def build_report(log: EventLog) -> MetricReport:
-    """All three value families plus per-resident activity counts."""
+    """All three value families plus per-resident activity counts.
+
+    One pass over the events collects trips, episodes and calls.
+    """
     counts = {pwd_id: AgentCounts() for pwd_id in log.pwd_ids}
+    records: dict[str, TripRecord] = {}
     for event in log.events:
         if event.kind == DISORIENTATION_START:
             counts[event.subject].episodes += 1
         elif event.kind == NURSE_CALLED:
             counts[event.subject].calls += 1
-    for pwd_id in log.pwd_ids:
-        for record in trip_records(log, pwd_id):
-            if record.completed:
-                counts[pwd_id].trips_completed += 1
-            else:
-                counts[pwd_id].trips_incomplete += 1
+        else:
+            _pair_trip(records, event)
+    trips: dict[str, list[TripRecord]] = {pwd_id: [] for pwd_id in log.pwd_ids}
+    for record in records.values():
+        if record.pwd in trips:
+            trips[record.pwd].append(record)
+    for pwd_id, pwd_trips in trips.items():
+        completed = sum(r.completed for r in pwd_trips)
+        counts[pwd_id].trips_completed = completed
+        counts[pwd_id].trips_incomplete = len(pwd_trips) - completed
     return MetricReport(
         t_total=log.horizon,
         autonomy={pwd_id: autonomy(log, pwd_id) for pwd_id in log.pwd_ids},
         efficiency={n: nurse_efficiency(log, n) for n in log.nurse_ids},
-        travel_efficiency={pwd_id: travel_efficiency(log, pwd_id)
-                           for pwd_id in log.pwd_ids},
+        travel_efficiency={pwd_id: _mean_trip_efficiency(pwd_trips)
+                           for pwd_id, pwd_trips in trips.items()},
         counts=counts,
     )

@@ -119,7 +119,7 @@ def make_pwd(grid, *, seed=1, schedule=(), p_d=0.0, p_i=0.2, p_noise=0.0,
 def make_watch(owner_id="P1", *, seed=1, enabled=True, p_detect=1.0, n_help=1,
                interval=1) -> SmartWatch:
     return SmartWatch(
-        owner=owner_id, enabled=enabled, p_detect=p_detect, n_help=n_help,
+        enabled=enabled, p_detect=p_detect, n_help=n_help,
         intervention_interval=interval,
         detect_rng=derive_stream(seed, owner_id, "detect"),
         intervene_rng=derive_stream(seed, owner_id, "intervene"),

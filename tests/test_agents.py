@@ -6,7 +6,7 @@ from conftest import corridor_grid, make_pwd, make_watch
 
 from ecqsim.agents import (
     Appointment, Call, NurseAgent, WorldContext, assign_calls, nurse_step,
-    pwd_begin_tick, pwd_move, pwd_step, watch_step,
+    pwd_begin_tick, pwd_move, watch_step,
 )
 from ecqsim.events import (
     CALL_DROPPED, DETECTION, DISORIENTATION_START, GUIDANCE_END,
@@ -24,7 +24,8 @@ OPEN_ROOM = parse_map(
 def drive(pwd, grid, ticks, start=0):
     events = []
     for tick in range(start, start + ticks):
-        events.extend(pwd_step(pwd, grid, tick))
+        pwd_begin_tick(pwd, grid, tick, events)
+        pwd_move(pwd, grid, tick, events)
     return events
 
 
@@ -76,7 +77,7 @@ def test_noise_inflates_travel_time_negative_binomial():
         tick = 0
         taken = None
         while taken is None:
-            for event in pwd_step(pwd, grid, tick):
+            for event in drive(pwd, grid, 1, start=tick):
                 if event.kind == TRIP_END:
                     taken = event.payload["taken"]
             tick += 1

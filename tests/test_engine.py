@@ -10,8 +10,8 @@ from ecqsim.engine import (
 )
 from ecqsim.agents import Appointment
 from ecqsim.events import (
-    DETECTION, DISORIENTATION_START, EventLog, NURSE_CALLED, TRIP_END,
-    TRIP_START,
+    DETECTION, DISORIENTATION_START, EventLog, NURSE_CALLED, NURSE_GUIDING,
+    PWD_GUIDED, TRIP_END, TRIP_START,
 )
 from ecqsim.experiment import build_run
 from ecqsim.metrics import build_report
@@ -80,11 +80,14 @@ def test_tally_conservation_and_event_order(demo_loaded):
     watch = WatchConfig(enabled=True, p_detect=0.5, n_help=1)
     log = run_simulation(small_scenario(demo_loaded=demo_loaded, watch=watch, seed=9))
     for pwd_id in log.pwd_ids:
-        assert len(log.pwd_mode_seq[pwd_id]) == log.horizon
         assert sum(log.pwd_mode_counts(pwd_id)) == log.horizon
     for nurse_id in log.nurse_ids:
-        assert len(log.nurse_state_seq[nurse_id]) == log.horizon
         assert sum(log.nurse_state_counts(nurse_id)) == log.horizon
+    # A resident is guided exactly while one nurse is guiding them.
+    guided = sum(log.pwd_mode_counts(p)[PWD_GUIDED] for p in log.pwd_ids)
+    assert guided > 0
+    assert guided == sum(log.nurse_state_counts(n)[NURSE_GUIDING]
+                         for n in log.nurse_ids)
     keys = [(e.tick, PHASE_ORDER[e.phase]) for e in log.events]
     assert keys == sorted(keys)
     check_causal_ordering(log)
@@ -136,6 +139,47 @@ def test_log_roundtrip_preserves_metrics(demo_loaded):
     parsed = EventLog.from_text(text)
     assert parsed.to_text() == text
     assert build_report(parsed) == build_report(log)
+
+
+def _truncate_header(lines):
+    return lines[:3]
+
+
+def _truncate_events(lines):
+    return lines[:len(lines) // 2]
+
+
+def _drop_tally(lines):
+    return [line for line in lines if not line.startswith("tally P2 ")]
+
+
+def _short_tally(lines):
+    return [line.rsplit(" ", 1)[0] if line.startswith("tally N1 ") else line
+            for line in lines]
+
+
+def _unbalanced_tally(lines):
+    def bump(line):
+        name, _, value = line.rpartition("=")
+        return f"{name}={int(value) + 1}"
+    return [bump(line) if line.startswith("tally P1 ") else line
+            for line in lines]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_truncate_header, "not an ecqsim event log"),
+    (_truncate_events, "log ends after"),
+    (_drop_tally, "missing tally for P2"),
+    (_short_tally, "bad tally line"),
+    (_unbalanced_tally, "does not sum to horizon"),
+], ids=["truncated-header", "truncated-events", "missing-tally", "short-tally",
+        "unbalanced-tally"])
+def test_log_from_text_rejects_corrupt_log(demo_loaded, corrupt, message):
+    watch = WatchConfig(enabled=True, p_detect=0.5, n_help=1)
+    lines = run_simulation(small_scenario(demo_loaded=demo_loaded, watch=watch,
+                                          seed=5)).to_text().splitlines()
+    with pytest.raises(ValueError, match=message):
+        EventLog.from_text("\n".join(corrupt(lines)) + "\n")
 
 
 def test_invalid_scenarios_rejected():

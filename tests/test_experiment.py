@@ -8,8 +8,8 @@ from conftest import corridor_grid
 
 from ecqsim.experiment import (
     InsufficientSitesError, Strategy, SweepConfig, SweepRow, aggregate,
-    aggregates_to_csv, derive_run_seed, expand_sweep, generate_schedule,
-    paper_strategies, rows_to_csv, run_sweep,
+    aggregates_to_csv, derive_run_seed, generate_schedule, iter_coords,
+    paper_strategies, rows_to_csv, run_sweep, scenario_for,
 )
 
 
@@ -53,14 +53,14 @@ def test_paper_grid_expansion_count(demo_loaded):
     config = small_config(demo_loaded, p_d_levels=(0, 0.25, 0.5, 0.75, 1),
                           p_detect_levels=(0.5, 0.2),
                           strategies=paper_strategies(), replications=3)
-    jobs = expand_sweep(config)
+    jobs = [(c, scenario_for(config, c)) for c in iter_coords(config)]
     assert len(jobs) == 5 * 2 * 7 * 3
     assert len({c.config_id for c, _ in jobs}) == 70
 
 
 def test_singleton_expansion(demo_loaded):
     config = small_config(demo_loaded, replications=1)
-    jobs = expand_sweep(config)
+    jobs = [(c, scenario_for(config, c)) for c in iter_coords(config)]
     assert len(jobs) == 1
     coords, scenario = jobs[0]
     assert scenario.seed == coords.seed
@@ -71,7 +71,7 @@ def test_paired_schedules_across_strategies(demo_loaded):
     config = small_config(demo_loaded,
                           strategies=(Strategy(False), Strategy(True, 5)),
                           replications=2)
-    jobs = expand_sweep(config)
+    jobs = [(c, scenario_for(config, c)) for c in iter_coords(config)]
     by_key = {(c.strategy.label(), c.replication): s for c, s in jobs}
     for rep in (0, 1):
         a = by_key[("nowatch", rep)]

@@ -18,11 +18,11 @@ from conftest import CORRIDOR_LEGEND, corridor_grid
 
 def synthetic_log(horizon=1000, guided=0, nurse_active=0):
     log = EventLog(horizon, 0, ["P1"], ["N1"])
-    log.pwd_mode_seq["P1"] = bytearray([PWD_GUIDED] * guided
-                                       + [PWD_IDLE] * (horizon - guided))
-    log.nurse_state_seq["N1"] = bytearray(
-        [NURSE_RESPONDING] * nurse_active
-        + [NURSE_INACTIVE] * (horizon - nurse_active))
+    pwd_ticks = log.pwd_mode_ticks["P1"]
+    pwd_ticks[PWD_GUIDED], pwd_ticks[PWD_IDLE] = guided, horizon - guided
+    nurse_ticks = log.nurse_state_ticks["N1"]
+    nurse_ticks[NURSE_RESPONDING] = nurse_active
+    nurse_ticks[NURSE_INACTIVE] = horizon - nurse_active
     return log
 
 
