@@ -13,13 +13,12 @@ from .agents import (
     watch_step,
 )
 from .engine import (
-    InvalidScenarioError, NurseConfig, PwDConfig, Scenario, WatchConfig,
+    NurseConfig, PwDConfig, Scenario, ScenarioError, WatchConfig,
     derive_stream, run_simulation,
 )
 from .events import Event, EventLog
 from .experiment import (
-    Aggregate, InsufficientSitesError, ScenarioTemplate, Strategy,
-    SweepConfig, SweepRow, aggregate, generate_schedule, paper_strategies,
+    Aggregate, Strategy, SweepConfig, SweepRow, aggregate, paper_strategies,
     run_sweep,
 )
 from .grid import (
@@ -31,21 +30,23 @@ from .metrics import (
     MetricReport, TripRecord, UnknownAgentError, autonomy, build_report,
     nurse_efficiency, travel_efficiency, trip_records,
 )
-from .scenario import LoadedScenario, ScenarioError, load_scenario
+from .scenario import (
+    InsufficientSitesError, ScenarioTemplate, generate_schedule, load_scenario,
+)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Aggregate", "Appointment", "DisconnectedMapError", "Event", "EventLog",
-    "GridMap", "InsufficientSitesError", "InvalidScenarioError",
-    "LoadedScenario", "MapError", "MetricReport", "MissingRoleError",
-    "NurseAgent", "NurseConfig", "Position", "PwDAgent", "PwDConfig",
-    "RaggedGridError", "Scenario", "ScenarioError", "ScenarioTemplate",
-    "SmartWatch", "Strategy", "SweepConfig", "SweepRow", "TripRecord",
-    "UnknownAgentError", "UnknownGlyphError", "UnreachableError",
-    "WatchConfig", "aggregate", "assign_calls", "autonomy", "build_report",
-    "derive_stream", "generate_schedule", "line_of_sight",
-    "load_scenario", "nurse_efficiency", "nurse_step", "paper_strategies",
-    "parse_map", "run_simulation", "run_sweep", "serialize_map",
-    "shortest_path", "travel_efficiency", "trip_records", "watch_step",
+    "GridMap", "InsufficientSitesError", "MapError", "MetricReport",
+    "MissingRoleError", "NurseAgent", "NurseConfig", "Position", "PwDAgent",
+    "PwDConfig", "RaggedGridError", "Scenario", "ScenarioError",
+    "ScenarioTemplate", "SmartWatch", "Strategy", "SweepConfig", "SweepRow",
+    "TripRecord", "UnknownAgentError", "UnknownGlyphError",
+    "UnreachableError", "WatchConfig", "aggregate", "assign_calls",
+    "autonomy", "build_report", "derive_stream", "generate_schedule",
+    "line_of_sight", "load_scenario", "nurse_efficiency", "nurse_step",
+    "paper_strategies", "parse_map", "run_simulation", "run_sweep",
+    "serialize_map", "shortest_path", "travel_efficiency", "trip_records",
+    "watch_step",
 ]

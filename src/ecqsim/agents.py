@@ -105,7 +105,6 @@ class PwDAgent:
     forget_eval: bool = False
     forgotten: bool = False
     skipped: int = 0
-    guide_nurse: str | None = None
     moved_tick: int = -1
     trip_seq: int = 0
     episode_seq: int = 0
@@ -390,7 +389,6 @@ def _begin_guidance(nurse: NurseAgent, pwd: PwDAgent, tick: int,
                     events: list[Event]) -> None:
     nurse.state = NURSE_GUIDING
     pwd.mode = PWD_GUIDED
-    pwd.guide_nurse = nurse.id
     _reorient(pwd, pwd.watch)
     events.append(Event(tick, "C", GUIDANCE_START, nurse.id,
                         {"pwd": pwd.id, "episode": pwd.episode}))
@@ -445,7 +443,6 @@ def nurse_step(nurse: NurseAgent, ctx: WorldContext, tick: int,
             events.append(Event(tick, "C", GUIDANCE_END, nurse.id,
                                 {"pwd": pwd.id, "episode": pwd.episode}))
             pwd.episode = None
-            pwd.guide_nurse = None
             pwd.mode = PWD_TRAVELING  # arrival is recognized next tick
             _release(nurse, ctx, tick, events)
         return

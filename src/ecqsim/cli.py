@@ -24,14 +24,14 @@ from pathlib import Path
 
 import yaml
 
-from .engine import run_simulation
+from .engine import ScenarioError, run_simulation
 from .experiment import (
     PAPER_P_D, PAPER_P_DETECT, Strategy, SweepConfig, aggregate,
     aggregates_to_csv, paper_strategies, rows_to_csv, run_sweep,
 )
 from .grid import ROLES
 from .metrics import build_report
-from .scenario import LoadedScenario, ScenarioError, load_scenario
+from .scenario import ScenarioTemplate, load_scenario
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -46,7 +46,7 @@ def _fail(messages: list[str] | str, code: int) -> int:
     return code
 
 
-def _load(path: str) -> LoadedScenario | int:
+def _load(path: str) -> ScenarioTemplate | int:
     try:
         return load_scenario(path)
     except FileNotFoundError as exc:
@@ -59,7 +59,7 @@ def _load(path: str) -> LoadedScenario | int:
         return _fail(f"bad scenario file: {exc}", EXIT_INVALID)
 
 
-def _pick_seed(loaded: LoadedScenario, flag_seed: int | None) -> int:
+def _pick_seed(loaded: ScenarioTemplate, flag_seed: int | None) -> int:
     if flag_seed is not None:
         return flag_seed
     env = os.environ.get("ECQ_SEED")
@@ -82,8 +82,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         labels = grid.labels_with_role(role)
         if labels:
             print(f"{role}: {' '.join(labels)}")
-    print(f"pwds {len(loaded.template.pwds)}, nurses {len(loaded.template.nurses)}, "
-          f"horizon {loaded.template.horizon}, seed {loaded.seed}")
+    print(f"pwds {len(loaded.pwds)}, nurses {len(loaded.nurses)}, "
+          f"horizon {loaded.horizon}, seed {loaded.seed}")
     return EXIT_OK
 
 
@@ -155,24 +155,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         except ValueError as exc:
             return _fail(str(exc), EXIT_INVALID)
 
-    template = loaded.template
     if args.paper_grid:
         defaults = {"p_d": PAPER_P_D, "p_detect": PAPER_P_DETECT,
                     "strategy": paper_strategies()}
     else:
         # Axes not named in --grid stay at the scenario's own values.
-        roster_p_d = tuple(sorted({p.p_d for p in template.pwds}))
+        roster_p_d = tuple(sorted({p.p_d for p in loaded.pwds}))
         if "p_d" not in overrides and len(roster_p_d) != 1:
             return _fail("residents disagree on p_d; give p_d=... in --grid",
                          EXIT_INVALID)
         defaults = {
             "p_d": roster_p_d,
-            "p_detect": (template.watch.p_detect,),
-            "strategy": (Strategy(True, template.watch.n_help)
-                         if template.watch.enabled else Strategy(False),),
+            "p_detect": (loaded.watch.p_detect,),
+            "strategy": (Strategy(True, loaded.watch.n_help)
+                         if loaded.watch.enabled else Strategy(False),),
         }
     config = SweepConfig(
-        template=template,
+        template=loaded,
         p_d_levels=overrides.get("p_d", defaults["p_d"]),
         p_detect_levels=overrides.get("p_detect", defaults["p_detect"]),
         strategies=overrides.get("strategy", defaults["strategy"]),

@@ -37,10 +37,10 @@ DEFAULT_HORIZON = 10_000
 DEFAULT_RADIUS = 5.0
 DEFAULT_P_NOISE = 0.1
 
-STREAM_PURPOSES = ("disorient", "noise", "detect", "intervene", "false_goal")
 
+class ScenarioError(ValueError):
+    """Scenario is unusable; ``problems`` lists every diagnostic."""
 
-class InvalidScenarioError(ValueError):
     def __init__(self, problems: list[str]):
         super().__init__("; ".join(problems))
         self.problems = problems
@@ -88,12 +88,9 @@ class Scenario:
     grid: GridMap
     pwds: list[PwDConfig]
     nurses: list[NurseConfig]
-    watches: dict[str, WatchConfig] = field(default_factory=dict)
+    watch: WatchConfig = field(default_factory=lambda: WatchConfig(enabled=False))
     horizon: int = DEFAULT_HORIZON
     seed: int = 0
-
-    def watch_for(self, pwd_id: str) -> WatchConfig:
-        return self.watches.get(pwd_id) or WatchConfig(enabled=False)
 
     def validate(self) -> list[str]:
         problems: list[str] = []
@@ -128,13 +125,13 @@ class Scenario:
                 if last_end is not None and appt.start < last_end:
                     problems.append(f"{pwd.id}: appointments {i - 1} and {i} overlap")
                 last_end = appt.start + appt.duration
-            watch = self.watch_for(pwd.id)
-            if not 0.0 <= watch.p_detect <= 1.0:
-                problems.append(f"{pwd.id}: watch p_detect outside [0, 1]")
-            if watch.n_help < 0:
-                problems.append(f"{pwd.id}: watch n_help must be >= 0")
-            if watch.intervention_interval < 1:
-                problems.append(f"{pwd.id}: watch intervention_interval must be >= 1")
+        watch = self.watch
+        if not 0.0 <= watch.p_detect <= 1.0:
+            problems.append("watch p_detect outside [0, 1]")
+        if watch.n_help < 0:
+            problems.append("watch n_help must be >= 0")
+        if watch.intervention_interval < 1:
+            problems.append("watch intervention_interval must be >= 1")
         for nurse in self.nurses:
             if nurse.base not in locations or roles.get(nurse.base) != ROLE_NURSE_BASE:
                 problems.append(f"{nurse.id}: base {nurse.base!r} is not a nurse_base location")
@@ -147,6 +144,7 @@ def _build_agents(scenario: Scenario) -> tuple[list[PwDAgent], list[NurseAgent]]
     grid = scenario.grid
     seed = scenario.seed
     sites = tuple(grid.labels_with_role(ROLE_APPOINTMENT_SITE))
+    wcfg = scenario.watch
 
     pwds: list[PwDAgent] = []
     for cfg in sorted(scenario.pwds, key=lambda c: c.id):
@@ -156,7 +154,6 @@ def _build_agents(scenario: Scenario) -> tuple[list[PwDAgent], list[NurseAgent]]
             false_goal=derive_stream(seed, cfg.id, "false_goal"),
             forget=derive_stream(seed, cfg.id, "forget"),
         )
-        wcfg = scenario.watch_for(cfg.id)
         watch = SmartWatch(
             enabled=wcfg.enabled, p_detect=wcfg.p_detect, n_help=wcfg.n_help,
             intervention_interval=wcfg.intervention_interval,
@@ -218,7 +215,7 @@ def run_simulation(scenario: Scenario, *, fast_forward: bool = True) -> EventLog
     """Execute the scenario for its full horizon and return the log."""
     problems = scenario.validate()
     if problems:
-        raise InvalidScenarioError(problems)
+        raise ScenarioError(problems)
 
     grid = scenario.grid
     horizon = scenario.horizon

@@ -26,12 +26,6 @@ GUIDANCE_START = "GuidanceStart"
 GUIDANCE_END = "GuidanceEnd"
 REMINDER = "Reminder"
 
-EVENT_KINDS = (
-    TRIP_START, TRIP_END, DISORIENTATION_START, DETECTION,
-    INTERVENTION_SUCCESS, INTERVENTION_FAIL, NURSE_CALLED, CALL_DROPPED,
-    RESPONSE_START, GUIDANCE_START, GUIDANCE_END, REMINDER,
-)
-
 # PwD modes / nurse states as small ints; index = serialized code.
 PWD_IDLE, PWD_TRAVELING, PWD_AT_APPOINTMENT, PWD_GUIDED = range(4)
 PWD_MODE_NAMES = ("idle", "traveling", "at_appointment", "guided")

@@ -14,21 +14,15 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from statistics import mean, stdev
 from typing import Callable, Iterator
 
-from .agents import Appointment
-from .engine import (
-    NurseConfig, PwDConfig, Scenario, WatchConfig, derive_stream,
-    run_simulation,
-)
-from .grid import ROLE_APPOINTMENT_SITE, GridMap
+from .engine import Scenario, WatchConfig, run_simulation
 from .metrics import MetricReport, build_report
+from .scenario import ScenarioTemplate, build_run
 
 DEFAULT_REPLICATIONS = 200
-DEFAULT_APPOINTMENTS = 6
-DEFAULT_APPOINTMENT_DURATION = 30
 
 PAPER_P_D = (0.0, 0.25, 0.5, 0.75, 1.0)
 PAPER_P_DETECT = (0.5, 0.2)
@@ -38,10 +32,6 @@ PAPER_N_HELP = (0, 1, 2, 3, 4, 5)
 ROWS_CSV_HEADER = "config_id,replication,seed,p_d,p_detect,strategy,agent,metric,value"
 AGGREGATE_CSV_HEADER = "p_d,p_detect,strategy,agent,metric,mean,std,count"
 POOLED_AGENT = "all"
-
-
-class InsufficientSitesError(ValueError):
-    """The map has fewer appointment sites than a schedule needs."""
 
 
 @dataclass(frozen=True)
@@ -67,22 +57,6 @@ class Strategy:
 def paper_strategies() -> tuple[Strategy, ...]:
     return (Strategy(watch=False),) + tuple(
         Strategy(watch=True, n_help=k) for k in PAPER_N_HELP)
-
-
-@dataclass
-class ScenarioTemplate:
-    """Everything a sweep holds fixed: the map, the rosters, the clock.
-
-    Residents with a non-empty schedule keep it verbatim; for the rest a
-    schedule is drawn per replication.
-    """
-    grid: GridMap
-    pwds: list[PwDConfig]
-    nurses: list[NurseConfig]
-    watch: WatchConfig = field(default_factory=WatchConfig)
-    horizon: int = 10_000
-    appointments_per_pwd: int = DEFAULT_APPOINTMENTS
-    appointment_duration: int = DEFAULT_APPOINTMENT_DURATION
 
 
 @dataclass
@@ -178,54 +152,6 @@ def iter_coords(config: SweepConfig) -> Iterator[SweepCoords]:
                         config_id=config_id, replication=rep,
                         seed=derive_run_seed(config.base_seed, config_id, rep),
                         p_d=p_d, p_detect=p_detect, strategy=strategy)
-
-
-def generate_schedule(grid: GridMap, pwd_id: str, base_seed: int,
-                      replication: int, count: int, duration: int,
-                      horizon: int) -> list[Appointment]:
-    """Draw ``count`` appointments at distinct sites, evenly spread with jitter.
-
-    The stream is keyed by (base_seed, resident, replication) only, so
-    schedules match across strategies and probability levels within a
-    replication.
-    """
-    sites = grid.labels_with_role(ROLE_APPOINTMENT_SITE)
-    if len(sites) < count:
-        raise InsufficientSitesError(
-            f"map offers {len(sites)} appointment sites, need {count}")
-    rng = derive_stream(base_seed, pwd_id, f"schedule.{replication}")
-    chosen = rng.sample(sites, count)
-    spacing = horizon // (count + 1)
-    jitter = spacing // 10
-    starts = sorted((i + 1) * spacing + (rng.randint(-jitter, jitter) if jitter else 0)
-                    for i in range(count))
-    return [Appointment(location, start, duration)
-            for location, start in zip(chosen, starts)]
-
-
-def build_run(template: ScenarioTemplate, *, schedule_seed: int,
-              replication: int, run_seed: int, p_d: float | None = None,
-              watch: WatchConfig | None = None) -> Scenario:
-    """Turn a template into a runnable scenario.
-
-    Schedules are drawn from (schedule_seed, replication) for residents
-    without an explicit one, so they are shared by every configuration
-    of a replication.
-    """
-    pwds = []
-    for cfg in template.pwds:
-        schedule = list(cfg.schedule) or generate_schedule(
-            template.grid, cfg.id, schedule_seed, replication,
-            template.appointments_per_pwd, template.appointment_duration,
-            template.horizon)
-        pwds.append(replace(cfg, schedule=schedule,
-                            p_d=cfg.p_d if p_d is None else p_d))
-    effective_watch = template.watch if watch is None else watch
-    return Scenario(
-        grid=template.grid, pwds=pwds,
-        nurses=[replace(n) for n in template.nurses],
-        watches={p.id: effective_watch for p in pwds},
-        horizon=template.horizon, seed=run_seed)
 
 
 def scenario_for(config: SweepConfig, coords: SweepCoords) -> Scenario:

@@ -26,10 +26,6 @@ ROLE_NURSE_BASE = "nurse_base"
 ROLE_APPOINTMENT_SITE = "appointment_site"
 ROLES = (ROLE_PWD_HOME, ROLE_NURSE_BASE, ROLE_APPOINTMENT_SITE)
 
-# Fixed neighbor preference (up, right, down, left).  Path tie-breaking
-# follows this order so replays are byte-identical.
-NEIGHBOR_ORDER = ((0, -1), (1, 0), (0, 1), (-1, 0))
-
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]*$")
 
 
@@ -117,28 +113,11 @@ class GridMap:
                         f"pwd_home label {label!r} must cover exactly one cell, found {len(placed)}")
         labeled = [p for cells_ in self.locations.values() for p in cells_]
         if labeled:
-            reached = self._flood_fill(labeled[0])
+            dist = self._bfs([labeled[0].y * self.width + labeled[0].x])
             for p in labeled:
-                if p.y * self.width + p.x not in reached:
+                if dist[p.y * self.width + p.x] < 0:
                     raise DisconnectedMapError(
                         f"labeled cell at ({p.x},{p.y}) is unreachable from other labeled cells")
-
-    def _flood_fill(self, start: Position) -> set[int]:
-        w, h, is_open = self.width, self.height, self._open
-        seen = {start.y * w + start.x}
-        queue = deque(seen)
-        while queue:
-            i = queue.popleft()
-            x = i % w
-            y = i // w
-            for dx, dy in NEIGHBOR_ORDER:
-                nx, ny = x + dx, y + dy
-                if 0 <= nx < w and 0 <= ny < h:
-                    j = ny * w + nx
-                    if is_open[j] and j not in seen:
-                        seen.add(j)
-                        queue.append(j)
-        return seen
 
     # -- basic queries -------------------------------------------------
 
@@ -228,6 +207,8 @@ class GridMap:
         if d == 0:
             return pos
         d -= 1
+        # Fixed neighbor preference (up, right, down, left): path
+        # tie-breaking follows it, so replays are byte-identical.
         if y > 0 and field[i - w] == d:
             return Position(x, y - 1)
         if x + 1 < w and field[i + 1] == d:
@@ -320,11 +301,9 @@ def parse_map(text: str, legend: dict[str, tuple[str, str]] | None = None) -> Gr
             else:
                 raise UnknownGlyphError(f"glyph {ch!r} not in legend or reserved set")
 
-    # A declared pwd_home must actually be placed; GridMap checks the rest.
-    placed = set(cells)
-    for glyph, (label, role) in legend.items():
-        if role == ROLE_PWD_HOME and label not in placed:
-            raise MissingRoleError(f"pwd_home label {label!r} is declared but absent")
+    # Declared labels keep their role even when unplaced; GridMap checks
+    # that every pwd_home is placed.
+    for label, role in legend.values():
         roles.setdefault(label, role)
 
     return GridMap(width, len(lines), cells, roles, glyph_of)

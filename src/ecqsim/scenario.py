@@ -1,31 +1,33 @@
-"""Scenario files: the human-editable YAML front end.
+"""Scenario layer: templates, schedule drawing, run building, YAML files.
+
+A ``ScenarioTemplate`` holds what a sweep keeps fixed: the map, the
+rosters, the watch settings and the clock.  ``build_run`` turns it into
+a runnable ``Scenario``, drawing appointment schedules from the seed for
+residents that carry none.
 
 A scenario file names a map, supplies the glyph legend, the resident
-and nurse rosters, the watch settings, a horizon and a seed.  Residents
-may carry explicit appointments; otherwise schedules are drawn from the
-run seed.
-
-Loading is two-staged: structural problems (bad YAML, missing keys,
-unreadable map) raise immediately, while semantic problems are
-collected so a validation run can report all of them at once.
+and nurse rosters, the watch settings, a horizon and a seed.  Loading
+is two-staged: structural problems (bad YAML, missing keys, unreadable
+map) raise immediately, while semantic problems are collected so a
+validation run can report all of them at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import yaml
 
 from .agents import Appointment
 from .engine import (
-    DEFAULT_RADIUS, NurseConfig, PwDConfig, Scenario, WatchConfig,
+    DEFAULT_RADIUS, NurseConfig, PwDConfig, Scenario, ScenarioError,
+    WatchConfig, derive_stream,
 )
-from .experiment import (
-    DEFAULT_APPOINTMENT_DURATION, DEFAULT_APPOINTMENTS, InsufficientSitesError,
-    ScenarioTemplate, build_run,
-)
-from .grid import ROLES, GridMap, MapError, parse_map
+from .grid import ROLE_APPOINTMENT_SITE, ROLES, GridMap, MapError, parse_map
+
+DEFAULT_APPOINTMENTS = 6
+DEFAULT_APPOINTMENT_DURATION = 30
 
 _TOP_KEYS = {"map", "legend", "pwd", "nurses", "watch", "horizon", "seed",
              "appointments_per_pwd", "appointment_duration"}
@@ -34,30 +36,79 @@ _NURSE_KEYS = {"id", "base", "radius"}
 _WATCH_KEYS = {"enabled", "p_detect", "n_help", "intervention_interval"}
 
 
-class ScenarioError(ValueError):
-    """Scenario file is unusable; ``problems`` lists every diagnostic."""
-
-    def __init__(self, problems: list[str]):
-        super().__init__("; ".join(problems))
-        self.problems = problems
+class InsufficientSitesError(ValueError):
+    """The map has fewer appointment sites than a schedule needs."""
 
 
 @dataclass
-class LoadedScenario:
-    path: Path
-    template: ScenarioTemplate
-    seed: int
-    problems: list[str] = field(default_factory=list)
+class ScenarioTemplate:
+    """Everything a sweep holds fixed: the map, the rosters, the clock.
 
-    @property
-    def grid(self) -> GridMap:
-        return self.template.grid
+    Residents with a non-empty schedule keep it verbatim; for the rest a
+    schedule is drawn per replication.  ``seed`` is the scenario file's
+    seed, used when a single run is asked for without one.
+    """
+    grid: GridMap
+    pwds: list[PwDConfig]
+    nurses: list[NurseConfig]
+    watch: WatchConfig = field(default_factory=WatchConfig)
+    horizon: int = 10_000
+    appointments_per_pwd: int = DEFAULT_APPOINTMENTS
+    appointment_duration: int = DEFAULT_APPOINTMENT_DURATION
+    seed: int = 0
 
     def scenario(self, seed: int | None = None) -> Scenario:
         """Single-run scenario; generated schedules use replication 0."""
         run_seed = self.seed if seed is None else seed
-        return build_run(self.template, schedule_seed=run_seed,
+        return build_run(self, schedule_seed=run_seed,
                          replication=0, run_seed=run_seed)
+
+
+def generate_schedule(grid: GridMap, pwd_id: str, base_seed: int,
+                      replication: int, count: int, duration: int,
+                      horizon: int) -> list[Appointment]:
+    """Draw ``count`` appointments at distinct sites, evenly spread with jitter.
+
+    The stream is keyed by (base_seed, resident, replication) only, so
+    schedules match across strategies and probability levels within a
+    replication.
+    """
+    sites = grid.labels_with_role(ROLE_APPOINTMENT_SITE)
+    if len(sites) < count:
+        raise InsufficientSitesError(
+            f"map offers {len(sites)} appointment sites, need {count}")
+    rng = derive_stream(base_seed, pwd_id, f"schedule.{replication}")
+    chosen = rng.sample(sites, count)
+    spacing = horizon // (count + 1)
+    jitter = spacing // 10
+    starts = sorted((i + 1) * spacing + (rng.randint(-jitter, jitter) if jitter else 0)
+                    for i in range(count))
+    return [Appointment(location, start, duration)
+            for location, start in zip(chosen, starts)]
+
+
+def build_run(template: ScenarioTemplate, *, schedule_seed: int,
+              replication: int, run_seed: int, p_d: float | None = None,
+              watch: WatchConfig | None = None) -> Scenario:
+    """Turn a template into a runnable scenario.
+
+    Schedules are drawn from (schedule_seed, replication) for residents
+    without an explicit one, so they are shared by every configuration
+    of a replication.
+    """
+    pwds = []
+    for cfg in template.pwds:
+        schedule = list(cfg.schedule) or generate_schedule(
+            template.grid, cfg.id, schedule_seed, replication,
+            template.appointments_per_pwd, template.appointment_duration,
+            template.horizon)
+        pwds.append(replace(cfg, schedule=schedule,
+                            p_d=cfg.p_d if p_d is None else p_d))
+    return Scenario(
+        grid=template.grid, pwds=pwds,
+        nurses=[replace(n) for n in template.nurses],
+        watch=template.watch if watch is None else watch,
+        horizon=template.horizon, seed=run_seed)
 
 
 def _number(value, name: str, problems: list[str], default: float) -> float:
@@ -78,7 +129,17 @@ def _integer(value, name: str, problems: list[str], default: int) -> int:
     return value
 
 
-def load_scenario(path: str | Path) -> LoadedScenario:
+def _section(value, kind: type, name: str, problems: list[str]):
+    """``value`` if it is a ``kind``; an empty one if absent or mistyped."""
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        problems.append(f"{name} must be a {'mapping' if kind is dict else 'list'}")
+        return kind()
+    return value
+
+
+def load_scenario(path: str | Path) -> ScenarioTemplate:
     """Parse and fully validate a scenario file.
 
     Raises ScenarioError with every collected diagnostic, or OSError if
@@ -94,7 +155,7 @@ def load_scenario(path: str | Path) -> LoadedScenario:
             problems.append(f"unknown key {key!r}")
 
     legend: dict[str, tuple[str, str]] = {}
-    for glyph, entry in (raw.get("legend") or {}).items():
+    for glyph, entry in _section(raw.get("legend"), dict, "legend", problems).items():
         glyph = str(glyph)
         if not isinstance(entry, dict) or "label" not in entry or "role" not in entry:
             problems.append(f"legend {glyph!r}: need label and role")
@@ -115,10 +176,10 @@ def load_scenario(path: str | Path) -> LoadedScenario:
         raise ScenarioError(problems + [f"map: {exc}"]) from exc
 
     pwds: list[PwDConfig] = []
-    rows = raw.get("pwd") or []
+    rows = raw.get("pwd")
     if not rows:
         problems.append("no pwd roster")
-    for i, row in enumerate(rows):
+    for i, row in enumerate(_section(rows, list, "pwd", problems)):
         if not isinstance(row, dict) or "id" not in row or "home" not in row:
             problems.append(f"pwd entry {i}: need id and home")
             continue
@@ -126,7 +187,8 @@ def load_scenario(path: str | Path) -> LoadedScenario:
             if key not in _PWD_KEYS:
                 problems.append(f"pwd {row.get('id')}: unknown key {key!r}")
         appointments = []
-        for j, appt in enumerate(row.get("appointments") or []):
+        for j, appt in enumerate(_section(row.get("appointments"), list,
+                                          f"pwd {row['id']} appointments", problems)):
             if not isinstance(appt, dict) or "location" not in appt \
                     or "start" not in appt:
                 problems.append(f"pwd {row['id']}: appointment {j} needs location and start")
@@ -148,10 +210,10 @@ def load_scenario(path: str | Path) -> LoadedScenario:
                              problems, 0.0)))
 
     nurses: list[NurseConfig] = []
-    rows = raw.get("nurses") or []
+    rows = raw.get("nurses")
     if not rows:
         problems.append("no nurse roster")
-    for i, row in enumerate(rows):
+    for i, row in enumerate(_section(rows, list, "nurses", problems)):
         if not isinstance(row, dict) or "id" not in row or "base" not in row:
             problems.append(f"nurse entry {i}: need id and base")
             continue
@@ -163,7 +225,7 @@ def load_scenario(path: str | Path) -> LoadedScenario:
             radius=_number(row.get("radius"), f"nurse {row['id']} radius",
                            problems, DEFAULT_RADIUS)))
 
-    watch_raw = raw.get("watch") or {}
+    watch_raw = _section(raw.get("watch"), dict, "watch", problems)
     for key in watch_raw:
         if key not in _WATCH_KEYS:
             problems.append(f"watch: unknown key {key!r}")
@@ -182,17 +244,16 @@ def load_scenario(path: str | Path) -> LoadedScenario:
                                       DEFAULT_APPOINTMENTS),
         appointment_duration=_integer(raw.get("appointment_duration"),
                                       "appointment_duration", problems,
-                                      DEFAULT_APPOINTMENT_DURATION))
-    seed = _integer(raw.get("seed"), "seed", problems, 0)
-    loaded = LoadedScenario(path=path, template=template, seed=seed)
+                                      DEFAULT_APPOINTMENT_DURATION),
+        seed=_integer(raw.get("seed"), "seed", problems, 0))
 
     # Semantic validation via a trial materialization.
     if not problems:
         try:
-            trial = loaded.scenario()
+            trial = template.scenario()
             problems.extend(trial.validate())
         except InsufficientSitesError as exc:
             problems.append(str(exc))
     if problems:
         raise ScenarioError(problems)
-    return loaded
+    return template

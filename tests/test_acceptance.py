@@ -21,10 +21,11 @@ from ecqsim.cli import main
 from ecqsim.engine import WatchConfig, run_simulation
 from ecqsim.events import NURSE_CALLED
 from ecqsim.experiment import (
-    Strategy, SweepConfig, build_run, paper_strategies, run_sweep,
+    Strategy, SweepConfig, paper_strategies, run_sweep,
 )
 from ecqsim.grid import Position, parse_map, shortest_path
 from ecqsim.metrics import build_report
+from ecqsim.scenario import build_run
 
 ACCEPTANCE_SEED = 42
 TREND_P_D = (0.25, 0.5, 0.75, 1.0)
@@ -41,7 +42,7 @@ def trend_means(demo_loaded):
     """Mean metric per (p_d, strategy) over the paper-grid slice at
     p_detect=0.5, R=200, pooled across agents and replications."""
     config = SweepConfig(
-        template=demo_loaded.template, p_d_levels=TREND_P_D,
+        template=demo_loaded, p_d_levels=TREND_P_D,
         p_detect_levels=(0.5,), strategies=paper_strategies(),
         replications=200, base_seed=ACCEPTANCE_SEED)
     started = time.monotonic()
@@ -93,7 +94,7 @@ def test_criterion_1_escalation_oracle():
 
 def test_criterion_2_degenerate_exactness(demo_loaded):
     started = time.monotonic()
-    scenario = build_run(demo_loaded.template, schedule_seed=ACCEPTANCE_SEED,
+    scenario = build_run(demo_loaded, schedule_seed=ACCEPTANCE_SEED,
                          replication=0, run_seed=ACCEPTANCE_SEED, p_d=0.0,
                          watch=WatchConfig(enabled=False))
     result = build_report(run_simulation(scenario))
@@ -140,7 +141,7 @@ def test_criterion_5_beneficence_trend(trend_means):
 
 def test_criterion_6_locomotion_noise_ceiling(demo_loaded):
     config = SweepConfig(
-        template=demo_loaded.template, p_d_levels=(0.0,),
+        template=demo_loaded, p_d_levels=(0.0,),
         p_detect_levels=(0.5,), strategies=(Strategy(False),),
         replications=200, base_seed=ACCEPTANCE_SEED)
     rows = run_sweep(config)
@@ -199,7 +200,7 @@ def test_criterion_9_conservation_fuzz(demo_loaded):
     for case in range(50):
         horizon = rng.randrange(400, 1500)
         template = replace(
-            demo_loaded.template, horizon=horizon,
+            demo_loaded, horizon=horizon,
             appointments_per_pwd=rng.randrange(1, 4),
             appointment_duration=rng.randrange(0, 30))
         template.pwds = [

@@ -1,3 +1,4 @@
+import pytest
 import yaml
 
 from conftest import demo_scenario_path
@@ -52,6 +53,37 @@ def test_validate_disconnected_map(tmp_path, capsys):
         "horizon": 100, "seed": 1}))
     assert main(["validate", str(tmp_path / "bad.yaml")]) == 2
     assert "unreachable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("keys, value", [
+    (("legend",), ["1", "2"]),
+    (("legend",), "rooms"),
+    (("watch",), [0.5]),
+    (("watch",), "on"),
+    (("pwd",), 5),
+    (("nurses",), 5),
+    (("pwd", 0, "appointments"), 5),
+], ids=["legend-list", "legend-str", "watch-list", "watch-str", "pwd-int",
+        "nurses-int", "appointments-int"])
+def test_validate_mistyped_section(tmp_path, capsys, keys, value):
+    path = write_demo(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    *parents, last = keys
+    node = raw
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["validate", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines and all(line.startswith("error:") for line in lines)
+
+
+def test_validate_reports_watch_problem_once(tmp_path, capsys):
+    path = write_demo(tmp_path, watch={"p_detect": 2})
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: watch p_detect outside [0, 1]"]
 
 
 def test_missing_file_is_io_error(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from conftest import check_causal_ordering, corridor_grid
 
 from ecqsim.engine import (
-    InvalidScenarioError, NurseConfig, PwDConfig, Scenario, WatchConfig,
+    NurseConfig, PwDConfig, Scenario, ScenarioError, WatchConfig,
     derive_stream, run_simulation,
 )
 from ecqsim.agents import Appointment
@@ -13,8 +13,8 @@ from ecqsim.events import (
     DETECTION, DISORIENTATION_START, EventLog, NURSE_CALLED, NURSE_GUIDING,
     PWD_GUIDED, TRIP_END, TRIP_START,
 )
-from ecqsim.experiment import build_run
 from ecqsim.metrics import build_report
+from ecqsim.scenario import build_run
 
 PHASE_ORDER = {p: i for i, p in enumerate("ABCDE")}
 
@@ -22,7 +22,7 @@ PHASE_ORDER = {p: i for i, p in enumerate("ABCDE")}
 def small_scenario(*, horizon=1200, p_d=0.5, p_i=0.2, p_noise=0.1,
                    watch=None, seed=7, demo_loaded=None, appointments=3,
                    duration=10):
-    template = replace(demo_loaded.template, horizon=horizon,
+    template = replace(demo_loaded, horizon=horizon,
                        appointments_per_pwd=appointments,
                        appointment_duration=duration)
     template.pwds = [replace(p, p_i=p_i, p_noise=p_noise) for p in template.pwds]
@@ -103,7 +103,6 @@ def test_stream_independence_roster_change(demo_loaded):
     reduced = small_scenario(demo_loaded=demo_loaded, p_d=0.3, p_i=1.0,
                              watch=watch, seed=21)
     reduced.pwds = [p for p in reduced.pwds if p.id != "P3"]
-    reduced.watches.pop("P3", None)
     log_reduced = run_simulation(reduced)
 
     def per_agent(log, agent_id):
@@ -189,27 +188,27 @@ def test_invalid_scenarios_rejected():
                                 schedule=[Appointment("site", 0, 0)])],
                 nurses=[NurseConfig(id="N1", base="base")])
 
-    with pytest.raises(InvalidScenarioError, match="horizon"):
+    with pytest.raises(ScenarioError, match="horizon"):
         run_simulation(Scenario(horizon=0, **base))
 
     bad = Scenario(horizon=100, **base)
     bad.pwds[0].p_d = 1.5
-    with pytest.raises(InvalidScenarioError, match="p_d"):
+    with pytest.raises(ScenarioError, match="p_d"):
         run_simulation(bad)
 
     bad = Scenario(horizon=100, **base)
     bad.pwds[0].schedule = [Appointment("site", 0, 10), Appointment("site", 5, 5)]
-    with pytest.raises(InvalidScenarioError, match="overlap"):
+    with pytest.raises(ScenarioError, match="overlap"):
         run_simulation(bad)
 
     bad = Scenario(horizon=100, **base)
     bad.pwds[0].home = "site"
-    with pytest.raises(InvalidScenarioError, match="pwd_home"):
+    with pytest.raises(ScenarioError, match="pwd_home"):
         run_simulation(bad)
 
     bad = Scenario(horizon=100, **base)
     bad.nurses.append(NurseConfig(id="P1", base="base"))
-    with pytest.raises(InvalidScenarioError, match="unique"):
+    with pytest.raises(ScenarioError, match="unique"):
         run_simulation(bad)
 
 
@@ -221,5 +220,5 @@ def test_appointment_must_fit_horizon():
                         schedule=[Appointment("site", 95, 20)])],
         nurses=[NurseConfig(id="N1", base="base")],
         horizon=100)
-    with pytest.raises(InvalidScenarioError, match="fit"):
+    with pytest.raises(ScenarioError, match="fit"):
         run_simulation(scenario)

@@ -7,14 +7,15 @@ import pytest
 from conftest import corridor_grid
 
 from ecqsim.experiment import (
-    InsufficientSitesError, Strategy, SweepConfig, SweepRow, aggregate,
-    aggregates_to_csv, derive_run_seed, generate_schedule, iter_coords,
-    paper_strategies, rows_to_csv, run_sweep, scenario_for,
+    Strategy, SweepConfig, SweepRow, aggregate, aggregates_to_csv,
+    derive_run_seed, iter_coords, paper_strategies, rows_to_csv, run_sweep,
+    scenario_for,
 )
+from ecqsim.scenario import InsufficientSitesError, generate_schedule
 
 
 def small_config(demo_loaded, **overrides):
-    template = replace(demo_loaded.template, horizon=1500,
+    template = replace(demo_loaded, horizon=1500,
                        appointments_per_pwd=3, appointment_duration=10)
     defaults = dict(template=template, p_d_levels=(0.0,),
                     p_detect_levels=(0.5,), strategies=(Strategy(True, 1),),

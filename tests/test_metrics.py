@@ -88,7 +88,7 @@ def test_efficiency_forced_guidance_episode_90_percent():
         pwds=[PwDConfig(id="P1", home="home", p_d=1.0, p_i=0.0, p_noise=0.0,
                         schedule=[Appointment("site", 0, 360)])],
         nurses=[NurseConfig(id="N1", base="base")],
-        watches={"P1": WatchConfig(enabled=True, p_detect=1.0, n_help=0)},
+        watch=WatchConfig(enabled=True, p_detect=1.0, n_help=0),
         horizon=400, seed=1)
     log = run_simulation(scenario)
     counts = log.nurse_state_counts("N1")
@@ -162,8 +162,8 @@ def test_report_idle_world():
 
 def test_report_forced_run_calls_equal_episodes(demo_loaded):
     from dataclasses import replace
-    from ecqsim.experiment import build_run
-    template = replace(demo_loaded.template, horizon=800,
+    from ecqsim.scenario import build_run
+    template = replace(demo_loaded, horizon=800,
                        appointments_per_pwd=2, appointment_duration=10)
     scenario = build_run(template, schedule_seed=13, replication=0, run_seed=13,
                          p_d=1.0, watch=WatchConfig(enabled=True, p_detect=1.0,
@@ -185,8 +185,8 @@ def test_te_never_exceeds_100_on_completed_trips(demo_loaded):
     # Movement covers at most one cell of path distance per tick, so a
     # completed trip can never beat its nominal time.
     from dataclasses import replace
-    from ecqsim.experiment import build_run
-    template = replace(demo_loaded.template, horizon=2000,
+    from ecqsim.scenario import build_run
+    template = replace(demo_loaded, horizon=2000,
                        appointments_per_pwd=3, appointment_duration=10)
     scenario = build_run(template, schedule_seed=17, replication=0,
                          run_seed=17, p_d=0.6,
@@ -208,7 +208,7 @@ def test_watch_off_no_perception_gives_full_efficiency():
         pwds=[PwDConfig(id="P1", home="home", p_d=0.4, p_noise=0.1,
                         schedule=[Appointment("site", 10, 20)])],
         nurses=[NurseConfig(id="N1", base="base", radius=0.0)],
-        watches={"P1": WatchConfig(enabled=False)},
+        watch=WatchConfig(enabled=False),
         horizon=600, seed=3)
     log = run_simulation(scenario)
     assert nurse_efficiency(log, "N1") == 100.0
