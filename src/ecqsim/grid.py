@@ -5,16 +5,21 @@ floor, or floor carrying a location label (dining area, resident room,
 nurse station...).  Labels have a role: where residents live, where
 nurses idle, or where appointments happen.
 
-All queries are pure functions of the map.  Distance fields are cached
-internally, so repeated path queries against the same target are O(path
-length); the cache never changes observable results.
+All queries are pure functions of the map.  Each open cell's open
+neighbours are listed once, at construction, in the fixed up, right,
+down, left order.  Path queries read a breadth-first distance field per
+target cell or label.  A field grows level by level over that neighbour
+table only until the queried origin has a distance, and keeps its
+frontier so a later, farther query resumes where the last one stopped.
+Every cell closer to the target than the origin then holds its exact
+distance, which is all a shortest-path step reads, so the partial fields
+never change observable results.
 """
 
 from __future__ import annotations
 
 import re
 from array import array
-from collections import deque
 from typing import Iterator, NamedTuple
 
 WALL = "#"
@@ -91,11 +96,14 @@ class GridMap:
 
         # Traversability flags, row-major.
         self._open = bytes(0 if c == WALL else 1 for c in self.cells)
+        # Open neighbours of each open cell in up, right, down, left
+        # order; walls have none.
+        self._nbrs = self._neighbour_table()
         self._validate()
 
-        # Distance-field caches keyed by target cell index / label.
-        self._cell_fields: dict[int, array] = {}
-        self._label_fields: dict[str, array] = {}
+        # Resumable distance fields keyed by target cell index or label:
+        # [dist, frontier, level], see _bfs.
+        self._fields: dict[int | str, list] = {}
 
     # -- validation ----------------------------------------------------
 
@@ -113,9 +121,9 @@ class GridMap:
                         f"pwd_home label {label!r} must cover exactly one cell, found {len(placed)}")
         labeled = [p for cells_ in self.locations.values() for p in cells_]
         if labeled:
-            dist = self._bfs([labeled[0].y * self.width + labeled[0].x])
+            field = self._new_field([labeled[0].y * self.width + labeled[0].x])
             for p in labeled:
-                if dist[p.y * self.width + p.x] < 0:
+                if self._bfs(field, p.y * self.width + p.x) < 0:
                     raise DisconnectedMapError(
                         f"labeled cell at ({p.x},{p.y}) is unreachable from other labeled cells")
 
@@ -145,92 +153,119 @@ class GridMap:
 
     # -- distance fields -----------------------------------------------
 
-    def _bfs(self, sources: list[int]) -> array:
+    def _neighbour_table(self) -> tuple[tuple[int, ...], ...]:
         w = self.width
         size = w * self.height
         is_open = self._open
-        dist = array("i", [-1]) * size
-        queue = deque()
-        for s in sources:
-            if is_open[s] and dist[s] < 0:
-                dist[s] = 0
-                queue.append(s)
-        while queue:
-            i = queue.popleft()
-            d = dist[i] + 1
+        table = []
+        for i in range(size):
+            if not is_open[i]:
+                table.append(())
+                continue
             x = i % w
-            if i >= w:
-                j = i - w
-                if is_open[j] and dist[j] < 0:
-                    dist[j] = d
-                    queue.append(j)
-            if x + 1 < w:
-                j = i + 1
-                if is_open[j] and dist[j] < 0:
-                    dist[j] = d
-                    queue.append(j)
-            if i + w < size:
-                j = i + w
-                if is_open[j] and dist[j] < 0:
-                    dist[j] = d
-                    queue.append(j)
-            if x > 0:
-                j = i - 1
-                if is_open[j] and dist[j] < 0:
-                    dist[j] = d
-                    queue.append(j)
-        return dist
+            nbrs = []
+            if i >= w and is_open[i - w]:
+                nbrs.append(i - w)
+            if x + 1 < w and is_open[i + 1]:
+                nbrs.append(i + 1)
+            if i + w < size and is_open[i + w]:
+                nbrs.append(i + w)
+            if x > 0 and is_open[i - 1]:
+                nbrs.append(i - 1)
+            table.append(tuple(nbrs))
+        return tuple(table)
 
-    def _field_to_cell(self, target: Position) -> array:
+    def _new_field(self, sources: list[int]) -> list:
+        dist = array("i", [-1]) * (self.width * self.height)
+        frontier = [s for s in sources if self._open[s]]
+        for s in frontier:
+            dist[s] = 0
+        return [dist, frontier, 0]
+
+    def _bfs(self, field: list, stop: int) -> int:
+        """Grow ``field`` level by level until cell ``stop`` has a distance.
+
+        ``field`` is ``[dist, frontier, level]``: every cell within
+        ``level`` steps of the sources holds its exact distance, the
+        rest -1, and ``frontier`` lists the cells at ``level``.  Returns
+        the distance of ``stop``, -1 once the frontier runs out first.
+        """
+        dist, frontier, level = field
+        nbrs = self._nbrs
+        while dist[stop] < 0 and frontier:
+            level += 1
+            grown = []
+            for i in frontier:
+                for j in nbrs[i]:
+                    if dist[j] < 0:
+                        dist[j] = level
+                        grown.append(j)
+            frontier = grown
+        field[1] = frontier
+        field[2] = level
+        return dist[stop]
+
+    def _field_to_cell(self, target: Position) -> list:
         i = target.y * self.width + target.x
-        field = self._cell_fields.get(i)
+        field = self._fields.get(i)
         if field is None:
-            field = self._bfs([i])
-            self._cell_fields[i] = field
+            field = self._fields[i] = self._new_field([i])
         return field
 
-    def _field_to_label(self, label: str) -> array:
-        field = self._label_fields.get(label)
+    def _field_to_label(self, label: str) -> list:
+        field = self._fields.get(label)
         if field is None:
-            cells = self.locations[label]
-            field = self._bfs([p.y * self.width + p.x for p in cells])
-            self._label_fields[label] = field
+            field = self._fields[label] = self._new_field(
+                [p.y * self.width + p.x for p in self.locations[label]])
         return field
 
-    def _descend(self, field: array, pos: Position) -> Position:
+    def _descend(self, field: list, pos: Position) -> Position:
         w = self.width
         x, y = pos
         i = y * w + x
-        d = field[i]
+        dist = field[0]
+        d = dist[i]
         if d < 0:
-            raise UnreachableError(f"no path from ({x},{y}) to target")
+            d = self._bfs(field, i)
+            if d < 0:
+                raise UnreachableError(f"no path from ({x},{y}) to target")
         if d == 0:
             return pos
         d -= 1
         # Fixed neighbor preference (up, right, down, left): path
-        # tie-breaking follows it, so replays are byte-identical.
-        if y > 0 and field[i - w] == d:
+        # tie-breaking follows it, so replays are byte-identical.  A
+        # neighbour one step closer than ``pos`` already holds its final
+        # distance, however far the field has grown.
+        if y > 0 and dist[i - w] == d:
             return Position(x, y - 1)
-        if x + 1 < w and field[i + 1] == d:
+        if x + 1 < w and dist[i + 1] == d:
             return Position(x + 1, y)
-        if y + 1 < self.height and field[i + w] == d:
+        if y + 1 < self.height and dist[i + w] == d:
             return Position(x, y + 1)
-        if x > 0 and field[i - 1] == d:
+        if x > 0 and dist[i - 1] == d:
             return Position(x - 1, y)
         raise AssertionError("BFS field has no descent neighbor")  # pragma: no cover
 
     def distance(self, origin: Position, target: Position) -> int:
         """Shortest 4-connected path length in steps, or raise Unreachable."""
-        d = self._field_to_cell(target)[origin.y * self.width + origin.x]
+        field = self._field_to_cell(target)
+        i = origin.y * self.width + origin.x
+        d = field[0][i]
         if d < 0:
-            raise UnreachableError(f"no path from {origin} to {target}")
+            d = self._bfs(field, i)
+            if d < 0:
+                raise UnreachableError(f"no path from {origin} to {target}")
         return d
 
     def label_distance(self, origin: Position, label: str) -> int:
         """Steps to the nearest cell carrying ``label``."""
-        d = self._field_to_label(label)[origin.y * self.width + origin.x]
+        field = self._field_to_label(label)
+        i = origin.y * self.width + origin.x
+        d = field[0][i]
         if d < 0:
-            raise UnreachableError(f"no path from {origin} to label {label!r}")
+            d = self._bfs(field, i)
+            if d < 0:
+                raise UnreachableError(f"no path from {origin} to label {label!r}")
         return d
 
     def step_toward_cell(self, pos: Position, target: Position) -> Position:
@@ -243,12 +278,11 @@ class GridMap:
     def at_label(self, pos: Position, label: str) -> bool:
         return self.cells[pos.y * self.width + pos.x] == label
 
-    # -- pickling (drop caches; they are pure accelerators) -------------
+    # -- pickling (drop fields; they are pure accelerators) -------------
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        state["_cell_fields"] = {}
-        state["_label_fields"] = {}
+        state["_fields"] = {}
         return state
 
     def __setstate__(self, state):
@@ -343,7 +377,8 @@ def shortest_path(grid: GridMap, origin: Position, goal: Position) -> list[Posit
     pos = Position(*origin)
     goal = Position(*goal)
     field = grid._field_to_cell(goal)
-    if field[pos.y * grid.width + pos.x] < 0:
+    i = pos.y * grid.width + pos.x
+    if field[0][i] < 0 and grid._bfs(field, i) < 0:
         raise UnreachableError(f"no path from {origin} to {goal}")
     while pos != goal:
         pos = grid._descend(field, pos)

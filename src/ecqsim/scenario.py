@@ -129,6 +129,15 @@ def _integer(value, name: str, problems: list[str], default: int) -> int:
     return value
 
 
+def _boolean(value, name: str, problems: list[str], default: bool) -> bool:
+    if value is None:
+        return default
+    if not isinstance(value, bool):
+        problems.append(f"{name} must be true or false, got {value!r}")
+        return default
+    return value
+
+
 def _section(value, kind: type, name: str, problems: list[str]):
     """``value`` if it is a ``kind``; an empty one if absent or mistyped."""
     if value is None:
@@ -230,7 +239,7 @@ def load_scenario(path: str | Path) -> ScenarioTemplate:
         if key not in _WATCH_KEYS:
             problems.append(f"watch: unknown key {key!r}")
     watch = WatchConfig(
-        enabled=bool(watch_raw.get("enabled", True)),
+        enabled=_boolean(watch_raw.get("enabled"), "watch enabled", problems, True),
         p_detect=_number(watch_raw.get("p_detect"), "watch p_detect", problems, 0.5),
         n_help=_integer(watch_raw.get("n_help"), "watch n_help", problems, 1),
         intervention_interval=_integer(watch_raw.get("intervention_interval"),
@@ -246,6 +255,13 @@ def load_scenario(path: str | Path) -> ScenarioTemplate:
                                       "appointment_duration", problems,
                                       DEFAULT_APPOINTMENT_DURATION),
         seed=_integer(raw.get("seed"), "seed", problems, 0))
+
+    # generate_schedule cannot draw from a negative count or horizon, so
+    # these are checked before the trial materialization below.
+    if template.horizon <= 0:
+        problems.append("horizon must be positive")
+    if template.appointments_per_pwd < 0:
+        problems.append("appointments_per_pwd must be >= 0")
 
     # Semantic validation via a trial materialization.
     if not problems:

@@ -86,6 +86,24 @@ def test_validate_reports_watch_problem_once(tmp_path, capsys):
         "error: watch p_detect outside [0, 1]"]
 
 
+@pytest.mark.parametrize("value", ["no", 1, [True]], ids=["string", "integer", "list"])
+def test_validate_non_boolean_watch_enabled(tmp_path, capsys, value):
+    path = write_demo(tmp_path, watch={"enabled": value})
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: watch enabled must be true or false, got {value!r}"]
+
+
+@pytest.mark.parametrize("overrides, line", [
+    ({"appointments_per_pwd": -1}, "error: appointments_per_pwd must be >= 0"),
+    ({"horizon": -5}, "error: horizon must be positive"),
+], ids=["appointments-per-pwd", "horizon"])
+def test_validate_negative_schedule_value(tmp_path, capsys, overrides, line):
+    path = write_demo(tmp_path, **overrides)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
 def test_missing_file_is_io_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.yaml")]) == 3
     assert capsys.readouterr().err.startswith("error:")

@@ -1,6 +1,8 @@
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import bfs_oracle
 
@@ -136,6 +138,102 @@ def test_distance_fields_match_path_lengths():
         a, b = rng.choice(cells), rng.choice(cells)
         if bfs_oracle(grid, a, b) is not None:
             assert grid.distance(a, b) == len(shortest_path(grid, a, b)) - 1
+
+
+@st.composite
+def pocket_maps(draw):
+    """A small map, often cut into pockets, with a label, a target and origins.
+
+    The label's cells share one pocket, as the map loader requires.
+    """
+    width = draw(st.integers(1, 9))
+    height = draw(st.integers(1, 9))
+    glyphs = draw(st.lists(st.sampled_from("..#"), min_size=width * height,
+                           max_size=width * height))
+    open_cells = [(i % width, i // width) for i, g in enumerate(glyphs) if g == "."]
+    if not open_cells:
+        glyphs[0] = "."
+        open_cells = [(0, 0)]
+
+    def text():
+        return "\n".join("".join(glyphs[y * width:(y + 1) * width]) for y in range(height))
+
+    plain = parse_map(text(), {})
+    anchor = draw(st.sampled_from(open_cells))
+    pocket = [c for c in open_cells if bfs_oracle(plain, anchor, c) is not None]
+    for x, y in draw(st.lists(st.sampled_from(pocket), min_size=1, max_size=3,
+                              unique=True)):
+        glyphs[y * width + x] = "L"
+    target = draw(st.sampled_from(open_cells))
+    origins = draw(st.lists(st.sampled_from(open_cells), min_size=1, max_size=12))
+    return text(), target, origins
+
+
+def oracle_step(dist, pos):
+    """First step along a full distance field, up, right, down, left first."""
+    x, y = pos
+    d = dist[pos]
+    if d == 0:
+        return Position(x, y)
+    for step in ((x, y - 1), (x + 1, y), (x, y + 1), (x - 1, y)):
+        if dist.get(step) == d - 1:
+            return Position(*step)
+    raise AssertionError("no descent neighbour")  # pragma: no cover
+
+
+def check_resumed_queries(grid, target, origins):
+    """Every query answer equals the one a full oracle field gives."""
+    cells = [(x, y) for y in range(grid.height) for x in range(grid.width)
+             if grid.is_open(Position(x, y))]
+    to_cell = {c: bfs_oracle(grid, c, target) for c in cells}
+    label_cells = grid.cells_of("lab")
+    to_label = {c: min((d for d in (bfs_oracle(grid, c, tuple(p)) for p in label_cells)
+                        if d is not None), default=None) for c in cells}
+    goal = Position(*target)
+    for origin in origins:
+        pos = Position(*origin)
+        if to_cell[origin] is None:
+            for query in (grid.distance, grid.step_toward_cell,
+                          lambda a, b: shortest_path(grid, a, b)):
+                with pytest.raises(UnreachableError):
+                    query(pos, goal)
+        else:
+            assert grid.distance(pos, goal) == to_cell[origin]
+            assert grid.step_toward_cell(pos, goal) == oracle_step(to_cell, origin)
+            path = [pos]
+            while path[-1] != goal:
+                path.append(oracle_step(to_cell, tuple(path[-1])))
+            assert shortest_path(grid, pos, goal) == path
+        if to_label[origin] is None:
+            for query in (grid.label_distance, grid.step_toward_label):
+                with pytest.raises(UnreachableError):
+                    query(pos, "lab")
+        else:
+            assert grid.label_distance(pos, "lab") == to_label[origin]
+            assert grid.step_toward_label(pos, "lab") == oracle_step(to_label, origin)
+    # A resumed field holds the exact distance of every cell up to its
+    # level, -1 beyond it, and its frontier is the cells at that level.
+    for key, ref in ((target[1] * grid.width + target[0], to_cell), ("lab", to_label)):
+        dist, frontier, level = grid._fields[key]
+        for (x, y), d in ref.items():
+            settled = d is not None and d <= level
+            assert dist[y * grid.width + x] == (d if settled else -1)
+        assert sorted(frontier) == sorted(
+            y * grid.width + x for (x, y), d in ref.items() if d == level)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pocket_maps())
+def test_resumed_fields_match_full_fields(case):
+    text, target, origins = case
+    grid = parse_map(text, {"L": ("lab", "appointment_site")})
+    # Near origins first, so that each farther query resumes a field.
+    to_target = {o: bfs_oracle(grid, o, target) for o in origins}
+    ordered = sorted(origins, key=lambda o: (to_target[o] is None, to_target[o] or 0))
+    check_resumed_queries(grid, target, ordered)
+    copy = pickle.loads(pickle.dumps(grid))
+    assert copy._fields == {}
+    check_resumed_queries(copy, target, ordered[::-1])
 
 
 # -- line of sight ----------------------------------------------------------
