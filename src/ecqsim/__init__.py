@@ -27,8 +27,7 @@ from .grid import (
     parse_map, serialize_map, shortest_path,
 )
 from .metrics import (
-    MetricReport, TripRecord, UnknownAgentError, autonomy, build_report,
-    nurse_efficiency, travel_efficiency, trip_records,
+    MetricReport, UnknownAgentError, autonomy, build_report, nurse_efficiency,
 )
 from .scenario import (
     InsufficientSitesError, ScenarioTemplate, generate_schedule, load_scenario,
@@ -42,11 +41,10 @@ __all__ = [
     "MissingRoleError", "NurseAgent", "NurseConfig", "Position", "PwDAgent",
     "PwDConfig", "RaggedGridError", "Scenario", "ScenarioError",
     "ScenarioTemplate", "SmartWatch", "Strategy", "SweepConfig", "SweepRow",
-    "TripRecord", "UnknownAgentError", "UnknownGlyphError",
-    "UnreachableError", "WatchConfig", "aggregate", "assign_calls",
-    "autonomy", "build_report", "derive_stream", "generate_schedule",
-    "line_of_sight", "load_scenario", "nurse_efficiency", "nurse_step",
-    "paper_strategies", "parse_map", "run_simulation", "run_sweep",
-    "serialize_map", "shortest_path", "travel_efficiency", "trip_records",
+    "UnknownAgentError", "UnknownGlyphError", "UnreachableError",
+    "WatchConfig", "aggregate", "assign_calls", "autonomy", "build_report",
+    "derive_stream", "generate_schedule", "line_of_sight", "load_scenario",
+    "nurse_efficiency", "nurse_step", "paper_strategies", "parse_map",
+    "run_simulation", "run_sweep", "serialize_map", "shortest_path",
     "watch_step",
 ]

@@ -109,6 +109,9 @@ class PwDAgent:
     trip_seq: int = 0
     episode_seq: int = 0
     episode: str | None = None
+    # The nurse responding to or guiding this resident.  Back-references
+    # stay out of == and repr, which would otherwise walk the cycle.
+    nurse: NurseAgent | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(slots=True)
@@ -118,16 +121,15 @@ class NurseAgent:
     radius: float
     position: Position
     state: int = NURSE_INACTIVE
-    target: str | None = None
+    target: PwDAgent | None = field(default=None, repr=False, compare=False)
     via_call: bool = False
     call_episode: str | None = None
 
 
 @dataclass(slots=True)
 class Call:
-    pwd_id: str
+    pwd: PwDAgent
     episode: str
-    tick: int
 
 
 @dataclass
@@ -136,13 +138,7 @@ class WorldContext:
     grid: GridMap
     pwds: list[PwDAgent]
     nurses: list[NurseAgent]
-    by_id: dict[str, PwDAgent] = field(default_factory=dict)
-    assignments: dict[str, str] = field(default_factory=dict)  # pwd id -> nurse id
     queue: deque[Call] = field(default_factory=deque)
-
-    def __post_init__(self):
-        if not self.by_id:
-            self.by_id = {p.id: p for p in self.pwds}
 
 
 def _pos_str(pos: Position) -> str:
@@ -305,34 +301,34 @@ def _call_nurse(watch: SmartWatch, owner: PwDAgent, tick: int,
         "episode": owner.episode, "pos": _pos_str(owner.position)}))
     watch.phase = WATCH_AWAITING_NURSE
     if queue is not None:
-        queue.append(Call(owner.id, owner.episode, tick))
+        queue.append(Call(owner, owner.episode))
 
 
 # -- dispatch and nurses ---------------------------------------------------
 
 
-def _live_call_target(call: Call, ctx: WorldContext, tick: int,
+def _live_call_target(call: Call, tick: int,
                       events: list[Event]) -> PwDAgent | None:
     """The resident a queued call is for, or None after dropping it as stale."""
-    pwd = ctx.by_id[call.pwd_id]
+    pwd = call.pwd
     if not pwd.disoriented:
         reason = "resolved"
-    elif pwd.id in ctx.assignments:
+    elif pwd.nurse is not None:
         reason = "duplicate"
     else:
         return pwd
-    events.append(Event(tick, "B", CALL_DROPPED, call.pwd_id,
+    events.append(Event(tick, "B", CALL_DROPPED, pwd.id,
                         {"episode": call.episode, "reason": reason}))
     return None
 
 
 def _begin_response(nurse: NurseAgent, pwd: PwDAgent, via: str, phase: str,
-                    ctx: WorldContext, tick: int, events: list[Event]) -> None:
+                    tick: int, events: list[Event]) -> None:
     nurse.state = NURSE_RESPONDING
-    nurse.target = pwd.id
+    nurse.target = pwd
     nurse.via_call = via == "call"
     nurse.call_episode = pwd.episode
-    ctx.assignments[pwd.id] = nurse.id
+    pwd.nurse = nurse
     events.append(Event(tick, phase, RESPONSE_START, nurse.id, {
         "pwd": pwd.id, "episode": pwd.episode, "via": via}))
 
@@ -350,7 +346,7 @@ def assign_calls(ctx: WorldContext, tick: int, events: list[Event]) -> None:
     pending: list[Call] = []
     while ctx.queue:
         call = ctx.queue.popleft()
-        pwd = _live_call_target(call, ctx, tick, events)
+        pwd = _live_call_target(call, tick, events)
         if pwd is None:
             continue
         if not free:
@@ -360,29 +356,23 @@ def assign_calls(ctx: WorldContext, tick: int, events: list[Event]) -> None:
         best = min(free, key=lambda item: (
             grid.distance(item[1].position, pwd.position), item[0]))
         free.remove(best)
-        _begin_response(best[1], pwd, "call", "B", ctx, tick, events)
+        _begin_response(best[1], pwd, "call", "B", tick, events)
     ctx.queue.extend(pending)
-
-
-def _take_next_call(nurse: NurseAgent, ctx: WorldContext, tick: int,
-                    events: list[Event]) -> bool:
-    while ctx.queue:
-        pwd = _live_call_target(ctx.queue.popleft(), ctx, tick, events)
-        if pwd is not None:
-            _begin_response(nurse, pwd, "call", "C", ctx, tick, events)
-            return True
-    return False
 
 
 def _release(nurse: NurseAgent, ctx: WorldContext, tick: int,
              events: list[Event]) -> None:
-    if nurse.target is not None and ctx.assignments.get(nurse.target) == nurse.id:
-        del ctx.assignments[nurse.target]
+    """Unlink the nurse from its resident; it takes the next live call, if any."""
+    nurse.target.nurse = None
     nurse.target = None
     nurse.via_call = False
     nurse.call_episode = None
-    if not _take_next_call(nurse, ctx, tick, events):
-        nurse.state = NURSE_INACTIVE
+    nurse.state = NURSE_INACTIVE
+    while ctx.queue:
+        pwd = _live_call_target(ctx.queue.popleft(), tick, events)
+        if pwd is not None:
+            _begin_response(nurse, pwd, "call", "C", tick, events)
+            return
 
 
 def _begin_guidance(nurse: NurseAgent, pwd: PwDAgent, tick: int,
@@ -403,14 +393,14 @@ def nurse_step(nurse: NurseAgent, ctx: WorldContext, tick: int,
         target: PwDAgent | None = None
         best: tuple[int, int] | None = None
         for idx, pwd in enumerate(ctx.pwds):
-            if pwd.disoriented and pwd.id not in ctx.assignments:
+            if pwd.disoriented and pwd.nurse is None:
                 if line_of_sight(grid, nurse.position, pwd.position, nurse.radius):
                     key = (grid.distance(nurse.position, pwd.position), idx)
                     if best is None or key < best:
                         best = key
                         target = pwd
         if target is not None:
-            _begin_response(nurse, target, "sight", "C", ctx, tick, events)
+            _begin_response(nurse, target, "sight", "C", tick, events)
             # Falls through to the pursuit move below on the next tick.
             return
         if not grid.at_label(nurse.position, nurse.base):
@@ -418,7 +408,7 @@ def nurse_step(nurse: NurseAgent, ctx: WorldContext, tick: int,
         return
 
     if nurse.state == NURSE_RESPONDING:
-        pwd = ctx.by_id[nurse.target]
+        pwd = nurse.target
         if not pwd.disoriented:
             # Reoriented (or finished the trip) before the nurse arrived.
             if nurse.via_call:
@@ -432,7 +422,7 @@ def nurse_step(nurse: NurseAgent, ctx: WorldContext, tick: int,
         return
 
     if nurse.state == NURSE_GUIDING:
-        pwd = ctx.by_id[nurse.target]
+        pwd = nurse.target
         if pwd.p_noise > 0 and pwd.streams.noise.random() < pwd.p_noise:
             return  # resident steadies themselves; nurse waits
         step = grid.step_toward_label(pwd.position, pwd.trip.goal)

@@ -98,10 +98,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     log = run_simulation(loaded.scenario(seed))
     report = build_report(log)
     text = report.to_text(seed=seed)
-    if args.out:
-        Path(args.out).write_text(log.to_text(), encoding="utf-8", newline="\n")
-    if args.report:
-        Path(args.report).write_text(text, encoding="utf-8", newline="\n")
+    try:
+        if args.out:
+            Path(args.out).write_text(log.to_text(), encoding="utf-8", newline="\n")
+        if args.report:
+            Path(args.report).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        return _fail(str(exc), EXIT_IO)
     print(text, end="")
     return EXIT_OK
 
@@ -194,9 +197,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(f"progress {done}/{total_runs}", file=sys.stderr)
 
     rows = run_sweep(config, jobs=args.jobs, progress=progress)
-    Path(args.out).write_text(rows_to_csv(rows), encoding="utf-8", newline="\n")
-    Path(args.aggregate).write_text(aggregates_to_csv(aggregate(rows)),
-                                    encoding="utf-8", newline="\n")
+    try:
+        Path(args.out).write_text(rows_to_csv(rows), encoding="utf-8", newline="\n")
+        Path(args.aggregate).write_text(aggregates_to_csv(aggregate(rows)),
+                                        encoding="utf-8", newline="\n")
+    except OSError as exc:
+        return _fail(str(exc), EXIT_IO)
     elapsed = time.monotonic() - started
     print(f"{total} runs in {elapsed:.1f}s -> {args.out}, {args.aggregate}",
           file=sys.stderr)

@@ -114,14 +114,14 @@ class EventLog:
         lines = text.splitlines()
         if len(lines) < 5 or lines[0] != "ecqsim-log v1":
             raise ValueError("not an ecqsim event log")
-        horizon = int(lines[1].split(" ", 1)[1])
-        seed = int(lines[2].split(" ", 1)[1])
-        pwd_ids = lines[3].split()[1:]
-        nurse_ids = lines[4].split()[1:]
-        log = cls(horizon, seed, pwd_ids, nurse_ids)
+        header = [line.partition(" ") for line in lines[1:5]]
+        if [key for key, _, _ in header] != ["horizon", "seed", "pwds", "nurses"]:
+            raise ValueError("log header is not horizon, seed, pwds, nurses")
+        horizon, seed, pwds, nurses = (value for _, _, value in header)
+        log = cls(int(horizon), int(seed), pwds.split(), nurses.split())
 
-        names = {p: PWD_MODE_NAMES for p in pwd_ids}
-        names.update((n, NURSE_STATE_NAMES) for n in nurse_ids)
+        names = {p: PWD_MODE_NAMES for p in log.pwd_ids}
+        names.update((n, NURSE_STATE_NAMES) for n in log.nurse_ids)
         ticks = {**log.pwd_mode_ticks, **log.nurse_state_ticks}
         idx = 5
         while idx < len(lines) and lines[idx].startswith("tally "):
@@ -131,8 +131,8 @@ class EventLog:
             if expected is None or tuple(key for key, _, _ in pairs) != expected:
                 raise ValueError(f"bad tally line: {lines[idx]!r}")
             ticks[agent_id][:] = [int(value) for _, _, value in pairs]
-            if sum(ticks[agent_id]) != horizon:
-                raise ValueError(f"tally of {agent_id} does not sum to horizon {horizon}")
+            if sum(ticks[agent_id]) != log.horizon:
+                raise ValueError(f"tally of {agent_id} does not sum to horizon {log.horizon}")
             idx += 1
         if names:
             raise ValueError("missing tally for " + " ".join(names))
@@ -140,9 +140,12 @@ class EventLog:
         if idx >= len(lines) or not lines[idx].startswith("events "):
             raise ValueError("missing events header")
         count = int(lines[idx].split(" ", 1)[1])
-        event_lines = lines[idx + 1:idx + 1 + count]
+        event_lines = lines[idx + 1:]
         if len(event_lines) < count:
             raise ValueError(f"log ends after {len(event_lines)} of {count} events")
+        if len(event_lines) > count:
+            raise ValueError(
+                f"{len(event_lines) - count} lines after the last of {count} events")
         for line in event_lines:
             log.append(Event.from_line(line))
         return log

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import mean, stdev
 from typing import Callable, Iterator
 
@@ -64,13 +64,9 @@ class SweepConfig:
     template: ScenarioTemplate
     p_d_levels: tuple[float, ...] = PAPER_P_D
     p_detect_levels: tuple[float, ...] = PAPER_P_DETECT
-    strategies: tuple[Strategy, ...] = ()
+    strategies: tuple[Strategy, ...] = field(default_factory=paper_strategies)
     replications: int = DEFAULT_REPLICATIONS
     base_seed: int = 0
-
-    def __post_init__(self):
-        if not self.strategies:
-            self.strategies = paper_strategies()
 
     def validate(self) -> list[str]:
         problems = []

@@ -13,7 +13,10 @@ table only until the queried origin has a distance, and keeps its
 frontier so a later, farther query resumes where the last one stopped.
 Every cell closer to the target than the origin then holds its exact
 distance, which is all a shortest-path step reads, so the partial fields
-never change observable results.
+never change observable results.  A query whose distance is already
+known reads the cached field directly; every other query goes through
+one method that creates or grows the field and raises UnreachableError
+when the origin is cut off from the target.
 """
 
 from __future__ import annotations
@@ -205,30 +208,33 @@ class GridMap:
         field[2] = level
         return dist[stop]
 
-    def _field_to_cell(self, target: Position) -> list:
-        i = target.y * self.width + target.x
-        field = self._fields.get(i)
+    def _field(self, key: int | str, i: int) -> list:
+        """The field toward cell index or label ``key``, grown to cell ``i``.
+
+        Every query whose distance is not yet known comes here; a hit
+        reads the cached field directly.  Raises UnreachableError when
+        ``i`` is cut off.
+        """
+        field = self._fields.get(key)
         if field is None:
-            field = self._fields[i] = self._new_field([i])
+            sources = [key] if isinstance(key, int) else \
+                [p.y * self.width + p.x for p in self.locations[key]]
+            field = self._fields[key] = self._new_field(sources)
+        if self._bfs(field, i) < 0:
+            w = self.width
+            to = f"label {key!r}" if isinstance(key, str) else f"({key % w},{key // w})"
+            raise UnreachableError(f"no path from ({i % w},{i // w}) to {to}")
         return field
 
-    def _field_to_label(self, label: str) -> list:
-        field = self._fields.get(label)
-        if field is None:
-            field = self._fields[label] = self._new_field(
-                [p.y * self.width + p.x for p in self.locations[label]])
-        return field
-
-    def _descend(self, field: list, pos: Position) -> Position:
+    def _descend(self, key: int | str, pos: Position) -> Position:
         w = self.width
         x, y = pos
         i = y * w + x
+        field = self._fields.get(key)
+        if field is None or field[0][i] < 0:
+            field = self._field(key, i)
         dist = field[0]
         d = dist[i]
-        if d < 0:
-            d = self._bfs(field, i)
-            if d < 0:
-                raise UnreachableError(f"no path from ({x},{y}) to target")
         if d == 0:
             return pos
         d -= 1
@@ -246,34 +252,27 @@ class GridMap:
             return Position(x - 1, y)
         raise AssertionError("BFS field has no descent neighbor")  # pragma: no cover
 
+    def _distance(self, key: int | str, pos: Position) -> int:
+        i = pos.y * self.width + pos.x
+        field = self._fields.get(key)
+        if field is None or field[0][i] < 0:
+            field = self._field(key, i)
+        return field[0][i]
+
     def distance(self, origin: Position, target: Position) -> int:
         """Shortest 4-connected path length in steps, or raise Unreachable."""
-        field = self._field_to_cell(target)
-        i = origin.y * self.width + origin.x
-        d = field[0][i]
-        if d < 0:
-            d = self._bfs(field, i)
-            if d < 0:
-                raise UnreachableError(f"no path from {origin} to {target}")
-        return d
+        return self._distance(target.y * self.width + target.x, origin)
 
     def label_distance(self, origin: Position, label: str) -> int:
         """Steps to the nearest cell carrying ``label``."""
-        field = self._field_to_label(label)
-        i = origin.y * self.width + origin.x
-        d = field[0][i]
-        if d < 0:
-            d = self._bfs(field, i)
-            if d < 0:
-                raise UnreachableError(f"no path from {origin} to label {label!r}")
-        return d
+        return self._distance(label, origin)
 
     def step_toward_cell(self, pos: Position, target: Position) -> Position:
         """One step along a shortest path to ``target`` (stays put on arrival)."""
-        return self._descend(self._field_to_cell(target), pos)
+        return self._descend(target.y * self.width + target.x, pos)
 
     def step_toward_label(self, pos: Position, label: str) -> Position:
-        return self._descend(self._field_to_label(label), pos)
+        return self._descend(label, pos)
 
     def at_label(self, pos: Position, label: str) -> bool:
         return self.cells[pos.y * self.width + pos.x] == label
@@ -373,15 +372,11 @@ def shortest_path(grid: GridMap, origin: Position, goal: Position) -> list[Posit
             raise MapError(f"position {pos} out of bounds")
         if not grid.is_open(pos):
             raise MapError(f"position {pos} is a wall")
-    path = [Position(*origin)]
     pos = Position(*origin)
     goal = Position(*goal)
-    field = grid._field_to_cell(goal)
-    i = pos.y * grid.width + pos.x
-    if field[0][i] < 0 and grid._bfs(field, i) < 0:
-        raise UnreachableError(f"no path from {origin} to {goal}")
-    while pos != goal:
-        pos = grid._descend(field, pos)
+    path = [pos]
+    for _ in range(grid.distance(pos, goal)):
+        pos = grid.step_toward_cell(pos, goal)
         path.append(pos)
     return path
 

@@ -347,8 +347,8 @@ def test_nearest_first_with_second_nurse_taking_other():
     events = []
     nurse_step(n1, ctx, 0, events)
     nurse_step(n2, ctx, 0, events)
-    assert n1.target == expected["N1"] == "P2"
-    assert n2.target == expected["N2"] == "P1"
+    assert n1.target.id == expected["N1"] == "P2"
+    assert n2.target.id == expected["N2"] == "P1"
 
 
 def test_guided_walk_reaches_goal_and_ends():
@@ -392,10 +392,10 @@ def test_assign_call_picks_nearest_inactive():
               make_nurse("N3", Position(8, 3))]
     pwd = traveling_pwd("P1", Position(1, 3))
     ctx = make_world([pwd], nurses)
-    ctx.queue.append(Call("P1", "P1.e1", 0))
+    ctx.queue.append(Call(pwd, "P1.e1"))
     events = []
     assign_calls(ctx, 0, events)
-    assert nurses[1].state == 1 and nurses[1].target == "P1"
+    assert nurses[1].state == 1 and nurses[1].target is pwd
     assert [e.kind for e in events] == [RESPONSE_START]
     assert events[0].subject == "N2"
 
@@ -405,11 +405,11 @@ def test_second_call_stays_queued_fifo():
     p1 = traveling_pwd("P1", Position(1, 3), seed=1)
     p2 = traveling_pwd("P2", Position(8, 3), seed=2)
     ctx = make_world([p1, p2], [nurse])
-    ctx.queue.append(Call("P1", "P1.e1", 0))
-    ctx.queue.append(Call("P2", "P2.e1", 0))
+    ctx.queue.append(Call(p1, "P1.e1"))
+    ctx.queue.append(Call(p2, "P2.e1"))
     assign_calls(ctx, 0, [])
-    assert nurse.target == "P1"
-    assert [c.pwd_id for c in ctx.queue] == ["P2"]
+    assert nurse.target is p1
+    assert [c.pwd.id for c in ctx.queue] == ["P2"]
 
 
 def test_call_for_guided_resident_dropped():
@@ -418,7 +418,7 @@ def test_call_for_guided_resident_dropped():
     pwd.disoriented = False
     pwd.mode = PWD_GUIDED
     ctx = make_world([pwd], [nurse])
-    ctx.queue.append(Call("P1", "P1.e1", 0))
+    ctx.queue.append(Call(pwd, "P1.e1"))
     events = []
     assign_calls(ctx, 0, events)
     assert [e.kind for e in events] == [CALL_DROPPED]
@@ -436,7 +436,7 @@ def test_no_double_assignment_between_nurses():
     nurse_step(n2, ctx, 0, events)
     assert [e.kind for e in events] == [RESPONSE_START]
     assert n1.state == 1 and n2.state == 0
-    assert ctx.assignments == {"P1": "N1"}
+    assert pwd.nurse is n1 and n2.target is None
 
 
 def test_displaced_nurse_walks_back_to_base():
@@ -458,7 +458,7 @@ def test_aborted_response_when_resident_recovers():
     nurse = make_nurse("N1", Position(8, 3))
     pwd = traveling_pwd("P1", Position(1, 3))
     ctx = make_world([pwd], [nurse])
-    ctx.queue.append(Call("P1", "P1.e1", 0))
+    ctx.queue.append(Call(pwd, "P1.e1"))
     assign_calls(ctx, 0, [])
     assert nurse.state == 1
     pwd.disoriented = False  # intervention succeeded meanwhile
@@ -466,4 +466,35 @@ def test_aborted_response_when_resident_recovers():
     nurse_step(nurse, ctx, 1, events)
     assert [e.kind for e in events] == [CALL_DROPPED]
     assert events[0].payload["reason"] == "aborted"
-    assert nurse.state == 0 and not ctx.assignments
+    assert nurse.state == 0
+    assert pwd.nurse is None and nurse.target is None
+
+
+def test_release_clears_both_links():
+    # Guidance end: the nurse walks the resident to the goal.
+    nurse = make_nurse(pos=Position(2, 3))
+    pwd = traveling_pwd("P1", Position(2, 3))
+    ctx = make_world([pwd], [nurse])
+    nurse_step(nurse, ctx, 0, [])
+    assert nurse.target is pwd and pwd.nurse is nurse
+    # The back-references stay out of repr and ==, so the cycle is never walked.
+    assert "nurse=" not in repr(pwd) and "target=" not in repr(nurse)
+    assert pwd == pwd and nurse == nurse
+    events = []
+    for tick in range(1, 40):
+        nurse_step(nurse, ctx, tick, events)
+        if any(e.kind == GUIDANCE_END for e in events):
+            break
+    assert [e.kind for e in events][-1] == GUIDANCE_END
+    assert pwd.nurse is None and nurse.target is None
+
+    # Aborted response: the resident recovers before the nurse arrives.
+    nurse = make_nurse("N1", Position(6, 3))
+    pwd = traveling_pwd("P2", Position(1, 3), seed=2)
+    ctx = make_world([pwd], [nurse])
+    nurse_step(nurse, ctx, 0, [])
+    assert nurse.target is pwd and pwd.nurse is nurse
+    pwd.disoriented = False
+    nurse_step(nurse, ctx, 1, [])
+    assert nurse.state == 0
+    assert pwd.nurse is None and nurse.target is None

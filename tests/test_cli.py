@@ -123,6 +123,15 @@ def test_run_writes_stable_log_and_report(tmp_path, capsys):
     assert rep1.read_text().splitlines()[1] == "seed 20260809"
 
 
+def test_run_output_into_missing_directory_is_io_error(tmp_path, capsys):
+    path = small_demo(tmp_path)
+    capsys.readouterr()
+    for flag in ("--out", "--report"):
+        assert main(["run", str(path), flag, str(tmp_path / "nodir" / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_run_without_disorientation_prints_100(tmp_path, capsys):
     path = small_demo(tmp_path, p_d=0.0)
     assert main(["run", str(path)]) == 0
@@ -182,6 +191,18 @@ def test_sweep_paper_grid_accounting(tmp_path):
     assert len(by_metric["efficiency"]) == 70 * 3
     assert 0 < len(by_metric["travel_efficiency"]) <= 70 * 5
     assert len({r.split(",")[0] for r in rows}) == 70
+
+
+def test_sweep_output_into_missing_directory_is_io_error(tmp_path, capsys):
+    path = small_demo(tmp_path)
+    capsys.readouterr()
+    missing = str(tmp_path / "nodir" / "x.csv")
+    for outputs in (["--out", missing], ["--aggregate", missing]):
+        assert main(["sweep", str(path), "--grid", "p_d=0;strategy=nowatch",
+                     "--reps", "1", "--jobs", "1",
+                     "--out", str(tmp_path / "rows.csv"),
+                     "--aggregate", str(tmp_path / "agg.csv")] + outputs) == 3
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error:")
 
 
 def test_sweep_requires_grid_choice(tmp_path, capsys):

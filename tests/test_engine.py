@@ -165,14 +165,29 @@ def _unbalanced_tally(lines):
             for line in lines]
 
 
+def _bare_horizon(lines):
+    return [lines[0], "horizon"] + lines[2:]
+
+
+def _swapped_header(lines):
+    return [lines[0], lines[2], lines[1]] + lines[3:]
+
+
+def _trailing_lines(lines):
+    return lines + lines[-2:]
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_truncate_header, "not an ecqsim event log"),
     (_truncate_events, "log ends after"),
     (_drop_tally, "missing tally for P2"),
     (_short_tally, "bad tally line"),
     (_unbalanced_tally, "does not sum to horizon"),
+    (_bare_horizon, "invalid literal"),
+    (_swapped_header, "log header is not horizon, seed"),
+    (_trailing_lines, "2 lines after the last of"),
 ], ids=["truncated-header", "truncated-events", "missing-tally", "short-tally",
-        "unbalanced-tally"])
+        "unbalanced-tally", "bare-horizon", "swapped-header", "trailing-lines"])
 def test_log_from_text_rejects_corrupt_log(demo_loaded, corrupt, message):
     watch = WatchConfig(enabled=True, p_detect=0.5, n_help=1)
     lines = run_simulation(small_scenario(demo_loaded=demo_loaded, watch=watch,

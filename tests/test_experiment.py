@@ -41,6 +41,14 @@ def test_paper_strategy_set():
     assert labels == ["nowatch"] + [f"nhelp={k}" for k in range(6)]
 
 
+def test_sweep_config_strategies(demo_loaded):
+    assert SweepConfig(template=demo_loaded).strategies == paper_strategies()
+    assert SweepConfig(template=demo_loaded).validate() == []
+    empty = SweepConfig(template=demo_loaded, strategies=())
+    assert empty.strategies == ()
+    assert empty.validate() == ["no strategies"]
+
+
 def test_run_seed_stable_and_distinct():
     assert derive_run_seed(1, "a", 0) == derive_run_seed(1, "a", 0)
     assert derive_run_seed(1, "a", 0) != derive_run_seed(1, "a", 1)

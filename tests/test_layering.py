@@ -1,7 +1,8 @@
 """The package's modules import each other in one direction only.
 
 Each module may import only modules earlier in ``LAYERS``; the package
-``__init__`` re-exports everything and is exempt.
+``__init__`` re-exports everything and is exempt, but every name it
+exports must resolve and be listed once.
 """
 
 import ast
@@ -37,3 +38,10 @@ def test_every_module_has_a_layer():
 def test_imports_point_down(module):
     allowed = set(LAYERS[:LAYERS.index(module)])
     assert relative_imports(module) <= allowed
+
+
+def test_exports_resolve_once():
+    names = ecqsim.__all__
+    assert len(set(names)) == len(names), "repeated names in __all__"
+    missing = [name for name in names if not hasattr(ecqsim, name)]
+    assert missing == []

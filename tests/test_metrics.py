@@ -1,16 +1,17 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ecqsim.agents import Appointment
 from ecqsim.engine import (
     NurseConfig, PwDConfig, Scenario, WatchConfig, run_simulation,
 )
 from ecqsim.events import (
-    NURSE_INACTIVE, NURSE_RESPONDING, PWD_GUIDED, PWD_IDLE, Event, EventLog,
+    NURSE_INACTIVE, NURSE_RESPONDING, PWD_GUIDED, PWD_IDLE, TRIP_END, Event,
+    EventLog,
 )
 from ecqsim.grid import parse_map
 from ecqsim.metrics import (
     UnknownAgentError, autonomy, build_report, nurse_efficiency,
-    travel_efficiency, trip_records,
 )
 
 from conftest import CORRIDOR_LEGEND, corridor_grid
@@ -102,22 +103,23 @@ def test_te_perfect_travel():
     log = synthetic_log()
     add_trip(log, "P1.1", 40, 40)
     add_trip(log, "P1.2", 25, 25, start=100)
-    assert travel_efficiency(log, "P1") == 100.0
+    assert build_report(log).travel_efficiency["P1"] == 100.0
 
 
 def test_te_single_slow_trip():
     log = synthetic_log()
     add_trip(log, "P1.1", 50, 100)
-    assert travel_efficiency(log, "P1") == 50.0
+    assert build_report(log).travel_efficiency["P1"] == 50.0
 
 
 def test_te_absent_without_completed_trips():
     log = synthetic_log()
-    assert travel_efficiency(log, "P1") is None
+    assert build_report(log).travel_efficiency["P1"] is None
     add_trip(log, "P1.1", 50, None)  # started, never finished
-    assert travel_efficiency(log, "P1") is None
-    records = trip_records(log, "P1")
-    assert len(records) == 1 and not records[0].completed
+    report = build_report(log)
+    assert report.travel_efficiency["P1"] is None
+    counts = report.counts["P1"]
+    assert (counts.trips_completed, counts.trips_incomplete) == (0, 1)
 
 
 def test_te_unweighted_mean_over_completed_only():
@@ -125,7 +127,7 @@ def test_te_unweighted_mean_over_completed_only():
     add_trip(log, "P1.1", 10, 20)        # 50%
     add_trip(log, "P1.2", 30, 30, 100)   # 100%
     add_trip(log, "P1.3", 10, None, 200)  # incomplete, excluded
-    assert travel_efficiency(log, "P1") == pytest.approx(75.0)
+    assert build_report(log).travel_efficiency["P1"] == pytest.approx(75.0)
 
 
 def test_te_noise_ceiling_small_scale():
@@ -140,12 +142,68 @@ def test_te_noise_ceiling_small_scale():
             nurses=[], horizon=300, seed=seed)
         scenario.nurses = []
         log = run_simulation(scenario)
-        value = travel_efficiency(log, "P1")
+        value = build_report(log).travel_efficiency["P1"]
         if value is not None:
             values.append(value)
     assert len(values) == 100
     mean = sum(values) / len(values)
     assert 88.0 < mean < 94.0
+
+
+@st.composite
+def trip_logs(draw):
+    """A log of interleaved trips by up to three residents.
+
+    Each resident's trips follow one another; the last may be left open,
+    and a trip may take zero ticks.  Returns the log and each resident's
+    trips as (trip id, nominal, taken or None).
+    """
+    pwd_ids = [f"P{k}" for k in range(1, draw(st.integers(1, 3)) + 1)]
+    trips, streams = {}, {}
+    for pwd_id in pwd_ids:
+        spans = draw(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 90)),
+                              max_size=6))
+        trips[pwd_id] = [(f"{pwd_id}.{n + 1}", nominal, taken)
+                         for n, (nominal, taken) in enumerate(spans)]
+        if trips[pwd_id] and draw(st.booleans()):
+            trip_id, nominal, _ = trips[pwd_id][-1]
+            trips[pwd_id][-1] = (trip_id, nominal, None)
+        stream = []
+        for trip_id, nominal, taken in trips[pwd_id]:
+            stream.append(("TripStart", {"trip": trip_id, "leg": "out",
+                                         "goal": "site", "nominal": nominal}))
+            if taken is not None:
+                stream.append(("TripEnd", {"trip": trip_id, "leg": "out",
+                                           "goal": "site", "nominal": nominal,
+                                           "taken": taken}))
+        streams[pwd_id] = stream
+    log = EventLog(1000, 0, pwd_ids, ["N1"])
+    for pwd_id in pwd_ids:
+        log.pwd_mode_ticks[pwd_id][PWD_IDLE] = 1000
+    log.nurse_state_ticks["N1"][NURSE_INACTIVE] = 1000
+    tick = 0
+    while any(streams.values()):
+        pwd_id = draw(st.sampled_from([p for p in pwd_ids if streams[p]]))
+        kind, payload = streams[pwd_id].pop(0)
+        log.append(Event(tick, "A", kind, pwd_id, payload))
+        tick += 1
+    return log, trips
+
+
+@settings(max_examples=200, deadline=None)
+@given(trip_logs())
+def test_report_trips_match_per_resident_pairing(case):
+    log, trips = case
+    report = build_report(log)
+    for pwd_id, pwd_trips in trips.items():
+        # Naive pairing: each resident's own trips in start order.
+        ratios = [100.0 if taken == 0 else 100.0 * nominal / taken
+                  for _, nominal, taken in pwd_trips if taken is not None]
+        expected = sum(ratios) / len(ratios) if ratios else None
+        assert report.travel_efficiency[pwd_id] == expected
+        counts = report.counts[pwd_id]
+        assert counts.trips_completed == len(ratios)
+        assert counts.trips_incomplete == len(pwd_trips) - len(ratios)
 
 
 # -- report -----------------------------------------------------------------
@@ -192,11 +250,10 @@ def test_te_never_exceeds_100_on_completed_trips(demo_loaded):
                          run_seed=17, p_d=0.6,
                          watch=WatchConfig(enabled=True, p_detect=0.5, n_help=2))
     log = run_simulation(scenario)
-    completed = [r for pwd_id in log.pwd_ids
-                 for r in trip_records(log, pwd_id) if r.completed]
+    completed = [e.payload for e in log.events if e.kind == TRIP_END]
     assert completed
-    for record in completed:
-        assert record.t_taken >= record.t_nominal
+    for trip in completed:
+        assert trip["taken"] >= trip["nominal"]
 
 
 def test_watch_off_no_perception_gives_full_efficiency():
