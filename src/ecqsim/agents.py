@@ -392,8 +392,13 @@ def nurse_step(nurse: NurseAgent, ctx: WorldContext, tick: int,
     if nurse.state == NURSE_INACTIVE:
         target: PwDAgent | None = None
         best: tuple[int, int] | None = None
+        x, y = nurse.position
+        reach = nurse.radius * nurse.radius
         for idx, pwd in enumerate(ctx.pwds):
             if pwd.disoriented and pwd.nurse is None:
+                px, py = pwd.position
+                if (px - x) * (px - x) + (py - y) * (py - y) > reach:
+                    continue  # line_of_sight's first test, made before the call
                 if line_of_sight(grid, nurse.position, pwd.position, nurse.radius):
                     key = (grid.distance(nurse.position, pwd.position), idx)
                     if best is None or key < best:

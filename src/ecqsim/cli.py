@@ -56,7 +56,28 @@ def _load(path: str) -> ScenarioTemplate | int:
     except ScenarioError as exc:
         return _fail(exc.problems, EXIT_INVALID)
     except yaml.YAMLError as exc:
-        return _fail(f"bad scenario file: {exc}", EXIT_INVALID)
+        return _fail("bad scenario file: " + " ".join(str(exc).split()), EXIT_INVALID)
+
+
+def _write_all(outputs: list[tuple[str, str]]) -> int:
+    """Write each ``(path, text)`` to a temporary file, then rename them all.
+
+    A failed write leaves every target as it was and no temporary file
+    behind.  The k-th output goes to ``path.k.tmp``, so a path named
+    twice still ends with the later text, as writing in turn would.
+    """
+    temps: list[Path] = []
+    try:
+        for k, (path, text) in enumerate(outputs):
+            temps.append(Path(f"{path}.{k}.tmp"))
+            temps[-1].write_text(text, encoding="utf-8", newline="\n")
+        for (path, _), temp in zip(outputs, temps):
+            temp.replace(path)
+    except OSError as exc:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        return _fail(f"cannot write {path}: {exc.strerror or exc}", EXIT_IO)
+    return EXIT_OK
 
 
 def _pick_seed(loaded: ScenarioTemplate, flag_seed: int | None) -> int:
@@ -98,15 +119,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     log = run_simulation(loaded.scenario(seed))
     report = build_report(log)
     text = report.to_text(seed=seed)
-    try:
-        if args.out:
-            Path(args.out).write_text(log.to_text(), encoding="utf-8", newline="\n")
-        if args.report:
-            Path(args.report).write_text(text, encoding="utf-8", newline="\n")
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
-    print(text, end="")
-    return EXIT_OK
+    outputs = [(args.out, log.to_text())] if args.out else []
+    if args.report:
+        outputs.append((args.report, text))
+    code = _write_all(outputs)
+    if code == EXIT_OK:
+        print(text, end="")
+    return code
 
 
 def _parse_grid_spec(spec: str) -> dict[str, tuple]:
@@ -197,12 +216,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(f"progress {done}/{total_runs}", file=sys.stderr)
 
     rows = run_sweep(config, jobs=args.jobs, progress=progress)
-    try:
-        Path(args.out).write_text(rows_to_csv(rows), encoding="utf-8", newline="\n")
-        Path(args.aggregate).write_text(aggregates_to_csv(aggregate(rows)),
-                                        encoding="utf-8", newline="\n")
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
+    code = _write_all([(args.out, rows_to_csv(rows)),
+                       (args.aggregate, aggregates_to_csv(aggregate(rows)))])
+    if code != EXIT_OK:
+        return code
     elapsed = time.monotonic() - started
     print(f"{total} runs in {elapsed:.1f}s -> {args.out}, {args.aggregate}",
           file=sys.stderr)

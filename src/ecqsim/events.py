@@ -25,6 +25,8 @@ RESPONSE_START = "ResponseStart"
 GUIDANCE_START = "GuidanceStart"
 GUIDANCE_END = "GuidanceEnd"
 REMINDER = "Reminder"
+# Kinds whose subject is a nurse; every other kind's is a resident.
+NURSE_EVENTS = frozenset((RESPONSE_START, GUIDANCE_START, GUIDANCE_END))
 
 # PwD modes / nurse states as small ints; index = serialized code.
 PWD_IDLE, PWD_TRAVELING, PWD_AT_APPOINTMENT, PWD_GUIDED = range(4)
@@ -146,6 +148,12 @@ class EventLog:
         if len(event_lines) > count:
             raise ValueError(
                 f"{len(event_lines) - count} lines after the last of {count} events")
+        known = {"pwds": set(log.pwd_ids), "nurses": set(log.nurse_ids)}
         for line in event_lines:
-            log.append(Event.from_line(line))
+            event = Event.from_line(line)
+            header = "nurses" if event.kind in NURSE_EVENTS else "pwds"
+            if event.subject not in known[header]:
+                raise ValueError(
+                    f"event subject {event.subject!r} is not in the {header} header")
+            log.append(event)
         return log

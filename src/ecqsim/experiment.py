@@ -13,8 +13,10 @@ or parallelism degree.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import hashlib
 from dataclasses import dataclass, field
+from functools import partial
 from statistics import mean, stdev
 from typing import Callable, Iterator
 
@@ -213,23 +215,18 @@ def run_sweep(config: SweepConfig, jobs: int = 1,
         raise ValueError("; ".join(problems))
     coords = list(iter_coords(config))
     rows: list[SweepRow] = []
-    done = 0
-    if jobs <= 1:
-        for c in coords:
-            rows.extend(_execute(config, c))
-            done += 1
+    with contextlib.ExitStack() as stack:
+        if jobs <= 1:
+            results = map(partial(_execute, config), coords)
+        else:
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
+                max_workers=jobs, initializer=_worker_init, initargs=(config,)))
+            results = pool.map(_worker_run, coords,
+                               chunksize=max(1, len(coords) // (jobs * 8)))
+        for done, run_rows in enumerate(results, 1):
+            rows.extend(run_rows)
             if progress is not None:
                 progress(done, len(coords))
-    else:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs, initializer=_worker_init,
-                initargs=(config,)) as pool:
-            chunk = max(1, len(coords) // (jobs * 8))
-            for run_rows in pool.map(_worker_run, coords, chunksize=chunk):
-                rows.extend(run_rows)
-                done += 1
-                if progress is not None:
-                    progress(done, len(coords))
     rows.sort(key=lambda r: (r.config_id, r.replication, r.agent, r.metric))
     return rows
 

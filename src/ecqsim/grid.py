@@ -13,10 +13,12 @@ table only until the queried origin has a distance, and keeps its
 frontier so a later, farther query resumes where the last one stopped.
 Every cell closer to the target than the origin then holds its exact
 distance, which is all a shortest-path step reads, so the partial fields
-never change observable results.  A query whose distance is already
-known reads the cached field directly; every other query goes through
-one method that creates or grows the field and raises UnreachableError
-when the origin is cut off from the target.
+never change observable results.  A step walks the same neighbour table
+to the first neighbour one level closer, so ties break in that fixed
+order.  A query whose distance is already known reads the cached field
+directly; every other query goes through one method that creates or
+grows the field and raises UnreachableError when the origin is cut off
+from the target.
 """
 
 from __future__ import annotations
@@ -86,10 +88,13 @@ class GridMap:
         self.roles = dict(roles)
         self.glyphs = dict(glyphs)
 
+        # One shared Position per cell, row-major.
+        self._positions = tuple(Position(i % width, i // width)
+                                for i in range(width * height))
         locations: dict[str, list[Position]] = {}
         for i, cell in enumerate(self.cells):
             if cell != WALL and cell != FLOOR:
-                locations.setdefault(cell, []).append(Position(i % width, i // width))
+                locations.setdefault(cell, []).append(self._positions[i])
         self.locations: dict[str, tuple[Position, ...]] = {
             label: tuple(cells_) for label, cells_ in locations.items()
         }
@@ -227,9 +232,8 @@ class GridMap:
         return field
 
     def _descend(self, key: int | str, pos: Position) -> Position:
-        w = self.width
         x, y = pos
-        i = y * w + x
+        i = y * self.width + x
         field = self._fields.get(key)
         if field is None or field[0][i] < 0:
             field = self._field(key, i)
@@ -238,18 +242,12 @@ class GridMap:
         if d == 0:
             return pos
         d -= 1
-        # Fixed neighbor preference (up, right, down, left): path
-        # tie-breaking follows it, so replays are byte-identical.  A
-        # neighbour one step closer than ``pos`` already holds its final
-        # distance, however far the field has grown.
-        if y > 0 and dist[i - w] == d:
-            return Position(x, y - 1)
-        if x + 1 < w and dist[i + 1] == d:
-            return Position(x + 1, y)
-        if y + 1 < self.height and dist[i + w] == d:
-            return Position(x, y + 1)
-        if x > 0 and dist[i - 1] == d:
-            return Position(x - 1, y)
+        # Neighbours come in the fixed up, right, down, left order, so
+        # replays are byte-identical.  One a step closer than ``pos``
+        # already holds its final distance, however far the field grew.
+        for j in self._nbrs[i]:
+            if dist[j] == d:
+                return self._positions[j]
         raise AssertionError("BFS field has no descent neighbor")  # pragma: no cover
 
     def _distance(self, key: int | str, pos: Position) -> int:
@@ -283,9 +281,6 @@ class GridMap:
         state = dict(self.__dict__)
         state["_fields"] = {}
         return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
 
 
 # -- parsing / serialization -------------------------------------------

@@ -155,7 +155,9 @@ def load_scenario(path: str | Path) -> ScenarioTemplate:
     the scenario or map file cannot be read.
     """
     path = Path(path)
-    raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    # libyaml's loader when PyYAML was built with it; same result, faster.
+    raw = yaml.load(path.read_text(encoding="utf-8"),
+                    Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     problems: list[str] = []
     if not isinstance(raw, dict):
         raise ScenarioError(["scenario file must be a mapping"])

@@ -4,15 +4,16 @@ from collections import deque
 from importlib import resources
 
 import pytest
+from hypothesis import strategies as st
 
-from ecqsim.engine import derive_stream
+from ecqsim.engine import NurseConfig, PwDConfig, WatchConfig, derive_stream
 from ecqsim.agents import PwDAgent, PwDStreams, SmartWatch
 from ecqsim.events import (
     DETECTION, GUIDANCE_END, GUIDANCE_START, INTERVENTION_FAIL, NURSE_CALLED,
     RESPONSE_START,
 )
 from ecqsim.grid import parse_map
-from ecqsim.scenario import load_scenario
+from ecqsim.scenario import ScenarioTemplate, load_scenario
 
 CORRIDOR_LEGEND = {
     "h": ("home", "pwd_home"),
@@ -124,3 +125,66 @@ def make_watch(owner_id="P1", *, seed=1, enabled=True, p_detect=1.0, n_help=1,
         detect_rng=derive_stream(seed, owner_id, "detect"),
         intervene_rng=derive_stream(seed, owner_id, "intervene"),
     )
+
+
+PROBABILITIES = st.sampled_from((0.0, 0.1, 0.5, 1.0)) | st.floats(0.0, 1.0)
+RADII = st.sampled_from((0, 1, 1.5, 7.9)) | st.integers(0, 8) | st.floats(0.0, 8.0)
+
+
+@st.composite
+def facilities(draw):
+    """A small corridor facility built in code, as a ScenarioTemplate.
+
+    Rooms two cells deep line both walls of a two-row corridor, each
+    with one door at a drawn column.  Every room holds one resident's
+    home, an appointment site or the nurses' base; rosters, schedule
+    sizes, the horizon and every probability are drawn as well.
+    """
+    n_pwds = draw(st.integers(1, 8))
+    n_sites = draw(st.integers(1, 4))
+    rooms = ["N"] + list("abcdefgh"[:n_pwds]) + list("ABCD"[:n_sites])
+    rooms = draw(st.permutations(rooms))
+    split = draw(st.integers(0, len(rooms)))
+    sides = (rooms[:split], rooms[split:])
+    widths = [[draw(st.integers(2, 4)) for _ in side] for side in sides]
+    width = 2 + max(sum(w) + len(w) - 1 if w else 1 for w in widths)
+    rows = [["#"] * width for _ in range(10)]
+    for y in (4, 5):
+        rows[y][1:-1] = ["."] * (width - 2)
+    # Top rooms use rows 1-2 and doors in row 3; bottom rooms rows 7-8
+    # and doors in row 6.
+    for side, room_widths, inner, door in zip(sides, widths, ((1, 2), (7, 8)), (3, 6)):
+        x0 = 1
+        for glyph, w in zip(side, room_widths):
+            for y in inner:
+                rows[y][x0:x0 + w] = ["."] * w
+            rows[door][x0 + draw(st.integers(0, w - 1))] = "."
+            cells = [(x, y) for y in inner for x in range(x0, x0 + w)]
+            size = 1 if glyph.islower() else draw(st.integers(1, min(3, len(cells))))
+            for x, y in draw(st.lists(st.sampled_from(cells), min_size=size,
+                                      max_size=size, unique=True)):
+                rows[y][x] = glyph
+            x0 += w + 1
+    legend = {"N": ("base", "nurse_base")}
+    legend.update((g, (f"home_{g}", "pwd_home")) for g in "abcdefgh"[:n_pwds])
+    legend.update((g, (f"site_{g}", "appointment_site")) for g in "ABCD"[:n_sites])
+    grid = parse_map("\n".join("".join(row) for row in rows), legend)
+
+    horizon = draw(st.integers(200, 1500))
+    count = draw(st.integers(1, n_sites))
+    pwds = [PwDConfig(id=f"P{k}", home=f"home_{g}", p_d=draw(PROBABILITIES),
+                      p_i=draw(PROBABILITIES), p_noise=draw(PROBABILITIES),
+                      p_forget=draw(PROBABILITIES))
+            for k, g in enumerate("abcdefgh"[:n_pwds])]
+    nurses = [NurseConfig(id=f"N{k}", base="base", radius=draw(RADII))
+              for k in range(draw(st.integers(1, 4)))]
+    watch = WatchConfig(enabled=draw(st.booleans()), p_detect=draw(PROBABILITIES),
+                        n_help=draw(st.integers(0, 4)),
+                        intervention_interval=draw(st.integers(1, 5)))
+    return ScenarioTemplate(
+        grid=grid, pwds=pwds, nurses=nurses, watch=watch, horizon=horizon,
+        appointments_per_pwd=count,
+        # At most half the spacing generate_schedule puts between starts,
+        # so appointments neither overlap nor overrun the horizon.
+        appointment_duration=draw(st.integers(0, horizon // (2 * (count + 1)))),
+        seed=draw(st.integers(0, 2**32)))

@@ -1,19 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import corridor_grid, make_pwd, make_watch
+from conftest import bfs_oracle, corridor_grid, make_pwd, make_watch
 
 from ecqsim.agents import (
-    Appointment, Call, NurseAgent, WorldContext, assign_calls, nurse_step,
-    pwd_begin_tick, pwd_move, watch_step,
+    Appointment, Call, NurseAgent, PwDAgent, PwDStreams, WorldContext,
+    assign_calls, nurse_step, pwd_begin_tick, pwd_move, watch_step,
 )
 from ecqsim.events import (
     CALL_DROPPED, DETECTION, DISORIENTATION_START, GUIDANCE_END,
     GUIDANCE_START, INTERVENTION_FAIL, NURSE_CALLED, PWD_GUIDED, REMINDER,
     RESPONSE_START, TRIP_END, TRIP_START,
 )
-from ecqsim.grid import Position, parse_map
+from ecqsim.grid import Position, line_of_sight, parse_map
 
 OPEN_ROOM = parse_map(
     "##########\n#h......s#\n#........#\n#b......t#\n##########",
@@ -325,6 +326,69 @@ def test_response_and_guidance_timing():
     assert [e.kind for e in events] == [GUIDANCE_START]
     assert pwd.mode == PWD_GUIDED and not pwd.disoriented
     assert nurse.position == pwd.position
+
+
+@st.composite
+def sight_cases(draw):
+    """A small map with a one-cell nurse base, the idle nurse's cell in the
+    base's pocket, residents on open cells, and a sight radius."""
+    width = draw(st.integers(1, 12))
+    height = draw(st.integers(1, 10))
+    glyphs = draw(st.lists(st.sampled_from("...#"), min_size=width * height,
+                           max_size=width * height))
+    open_cells = [(i % width, i // width) for i, g in enumerate(glyphs) if g == "."]
+    if not open_cells:
+        glyphs[0] = "."
+        open_cells = [(0, 0)]
+    bx, by = draw(st.sampled_from(open_cells))
+    glyphs[by * width + bx] = "b"
+    text = "\n".join("".join(glyphs[y * width:(y + 1) * width]) for y in range(height))
+    grid = parse_map(text, {"b": ("base", "nurse_base")})
+    pocket = [c for c in open_cells if bfs_oracle(grid, c, (bx, by)) is not None]
+    nurse_cell = draw(st.sampled_from(pocket))
+    residents = draw(st.lists(st.sampled_from(open_cells), min_size=1, max_size=6))
+    radius = draw(st.sampled_from((0, 1, 1.5, 2, 5, 7.9, float("inf"), float("nan")))
+                  | st.integers(0, 12) | st.floats(0, 12))
+    return grid, (bx, by), nurse_cell, residents, radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(sight_cases())
+def test_sight_scan_matches_naive_scan(case):
+    grid, base, nurse_cell, resident_cells, radius = case
+    nurse = NurseAgent(id="N1", base="base", radius=radius,
+                       position=Position(*nurse_cell))
+    pwds = []
+    for k, cell in enumerate(resident_cells):
+        streams = PwDStreams(*(random.Random(k) for _ in range(4)))
+        pwds.append(PwDAgent(
+            id=f"P{k}", home="home", schedule=[], p_d=1.0, p_i=0.0, p_noise=0.0,
+            p_forget=0.0, position=Position(*cell), streams=streams,
+            disoriented=True, episode=f"P{k}.e1"))
+    # Naive scan: argmin of (distance, idx) over every resident in sight.
+    seen = [(grid.distance(nurse.position, p.position), idx)
+            for idx, p in enumerate(pwds)
+            if line_of_sight(grid, nurse.position, p.position, radius)]
+    expected = pwds[min(seen)[1]] if seen else None
+
+    events = []
+    nurse_step(nurse, WorldContext(grid=grid, pwds=pwds, nurses=[nurse]), 0, events)
+    assert nurse.target is expected
+    if expected is not None:
+        assert [(e.kind, e.payload["pwd"], e.payload["via"]) for e in events] == [
+            (RESPONSE_START, expected.id, "sight")]
+        assert nurse.position == nurse_cell
+        return
+    # Nobody in sight: one step home, to the first of up, right, down,
+    # left that is one step closer to the base.
+    assert events == []
+    d = bfs_oracle(grid, nurse_cell, base)
+    x, y = nurse_cell
+    step = nurse_cell if d == 0 else next(
+        c for c in ((x, y - 1), (x + 1, y), (x, y + 1), (x - 1, y))
+        if 0 <= c[0] < grid.width and 0 <= c[1] < grid.height
+        and grid.is_open(Position(*c)) and bfs_oracle(grid, c, base) == d - 1)
+    assert nurse.position == step
 
 
 def test_nearest_first_with_second_nurse_taking_other():

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import pytest
 import yaml
 
 from conftest import demo_scenario_path
 
 from ecqsim.cli import main
+from ecqsim.scenario import load_scenario
 
 
 def write_demo(tmp_path, pwd_overrides=None, **top_overrides):
@@ -205,6 +208,48 @@ def test_sweep_output_into_missing_directory_is_io_error(tmp_path, capsys):
         assert capsys.readouterr().err.splitlines()[-1].startswith("error:")
 
 
+def test_sweep_failed_write_leaves_no_output(tmp_path, capsys):
+    path = small_demo(tmp_path)
+    rows = tmp_path / "rows.csv"
+    assert main(["sweep", str(path), "--grid", "p_d=0;strategy=nowatch",
+                 "--reps", "1", "--jobs", "1", "--out", str(rows),
+                 "--aggregate", str(tmp_path / "nodir" / "agg.csv")]) == 3
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "demo_map.txt", "demo_scenario.yaml"]
+
+
+def test_run_failed_write_keeps_previous_log(tmp_path, capsys):
+    path = small_demo(tmp_path)
+    log = tmp_path / "run.log"
+    log.write_text("previous\n")
+    capsys.readouterr()
+    assert main(["run", str(path), "--out", str(log),
+                 "--report", str(tmp_path / "nodir" / "report")]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+    assert log.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "demo_map.txt", "demo_scenario.yaml", "run.log"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_output_named_twice_gets_the_later_text(tmp_path, command):
+    path = small_demo(tmp_path)
+    both = str(tmp_path / "both.txt")
+    if command == "run":
+        args = ["run", str(path), "--out", both, "--report", both]
+        first = "ecqsim-report v1\n"
+    else:
+        args = ["sweep", str(path), "--grid", "p_d=0;strategy=nowatch", "--reps",
+                "1", "--jobs", "1", "--out", both, "--aggregate", both]
+        first = "p_d,p_detect,strategy,agent,metric,"
+    assert main(args) == 0
+    assert (tmp_path / "both.txt").read_text().startswith(first)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "both.txt", "demo_map.txt", "demo_scenario.yaml"]
+
+
 def test_sweep_requires_grid_choice(tmp_path, capsys):
     path = small_demo(tmp_path)
     assert main(["sweep", str(path)]) == 2
@@ -223,3 +268,29 @@ def test_demo_round_trip(tmp_path, capsys):
     assert main(["demo", str(tmp_path / "fixtures")]) == 0
     assert (tmp_path / "fixtures" / "demo_map.txt").exists()
     assert main(["validate", str(tmp_path / "fixtures" / "demo_scenario.yaml")]) == 0
+
+
+@pytest.mark.parametrize("text", [
+    "map: demo_map.txt\nlegend: {h: 1\n",
+    "map: demo_map.txt\n\thorizon: 100\n",
+], ids=["unclosed-flow-mapping", "tab-indented-key"])
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
+def test_malformed_scenario_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                              text, libyaml):
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: bad scenario file:")
+
+
+def test_pure_python_loader_gives_the_same_template(monkeypatch):
+    fast = load_scenario(demo_scenario_path())
+    monkeypatch.delattr(yaml, "CSafeLoader")
+    slow = load_scenario(demo_scenario_path())
+    # GridMap compares by identity; compare what parse_map built from the text.
+    for attr in ("width", "height", "cells", "roles", "glyphs", "locations"):
+        assert getattr(slow.grid, attr) == getattr(fast.grid, attr)
+    assert replace(slow, grid=fast.grid) == fast

@@ -1,8 +1,9 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import check_causal_ordering, corridor_grid
+from conftest import check_causal_ordering, corridor_grid, facilities
 
 from ecqsim.engine import (
     NurseConfig, PwDConfig, Scenario, ScenarioError, WatchConfig,
@@ -10,8 +11,9 @@ from ecqsim.engine import (
 )
 from ecqsim.agents import Appointment
 from ecqsim.events import (
-    DETECTION, DISORIENTATION_START, EventLog, NURSE_CALLED, NURSE_GUIDING,
-    PWD_GUIDED, TRIP_END, TRIP_START,
+    DETECTION, DISORIENTATION_START, EventLog, GUIDANCE_END, GUIDANCE_START,
+    NURSE_CALLED, NURSE_GUIDING, PWD_GUIDED, RESPONSE_START, TRIP_END,
+    TRIP_START,
 )
 from ecqsim.metrics import build_report
 from ecqsim.scenario import build_run
@@ -91,6 +93,33 @@ def test_tally_conservation_and_event_order(demo_loaded):
     keys = [(e.tick, PHASE_ORDER[e.phase]) for e in log.events]
     assert keys == sorted(keys)
     check_causal_ordering(log)
+
+
+@settings(max_examples=200, deadline=None)
+@given(facilities())
+def test_whole_run_invariants_on_generated_facilities(template):
+    log = run_simulation(template.scenario())
+    text = log.to_text()
+    assert run_simulation(template.scenario(), fast_forward=False).to_text() == text
+    for agent_id in log.pwd_ids:
+        assert sum(log.pwd_mode_counts(agent_id)) == log.horizon
+    for agent_id in log.nurse_ids:
+        assert sum(log.nurse_state_counts(agent_id)) == log.horizon
+    check_causal_ordering(log)
+    assert build_report(EventLog.from_text(text)) == build_report(log)
+    # A resident is guided from the tick of GuidanceStart up to the tick
+    # of GuidanceEnd, or to the horizon.
+    guided = dict.fromkeys(log.pwd_ids, 0)
+    started = {}
+    for event in log.events:
+        if event.kind == GUIDANCE_START:
+            started[event.payload["pwd"]] = event.tick
+        elif event.kind == GUIDANCE_END:
+            pwd_id = event.payload["pwd"]
+            guided[pwd_id] += event.tick - started.pop(pwd_id)
+    for pwd_id, tick in started.items():
+        guided[pwd_id] += log.horizon - tick
+    assert guided == {p: log.pwd_mode_counts(p)[PWD_GUIDED] for p in log.pwd_ids}
 
 
 def test_stream_independence_roster_change(demo_loaded):
@@ -177,6 +206,16 @@ def _trailing_lines(lines):
     return lines + lines[-2:]
 
 
+def _resubject_first(kind, subject):
+    """Give the first ``kind`` event line a different subject."""
+    def corrupt(lines):
+        idx = next(i for i, line in enumerate(lines) if f",{kind}," in line)
+        parts = lines[idx].split(",")
+        parts[3] = subject
+        return lines[:idx] + [",".join(parts)] + lines[idx + 1:]
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_truncate_header, "not an ecqsim event log"),
     (_truncate_events, "log ends after"),
@@ -186,8 +225,11 @@ def _trailing_lines(lines):
     (_bare_horizon, "invalid literal"),
     (_swapped_header, "log header is not horizon, seed"),
     (_trailing_lines, "2 lines after the last of"),
+    (_resubject_first(TRIP_START, "P9"), "subject 'P9' is not in the pwds header"),
+    (_resubject_first(RESPONSE_START, "P1"), "subject 'P1' is not in the nurses header"),
 ], ids=["truncated-header", "truncated-events", "missing-tally", "short-tally",
-        "unbalanced-tally", "bare-horizon", "swapped-header", "trailing-lines"])
+        "unbalanced-tally", "bare-horizon", "swapped-header", "trailing-lines",
+        "unknown-subject", "resident-as-nurse"])
 def test_log_from_text_rejects_corrupt_log(demo_loaded, corrupt, message):
     watch = WatchConfig(enabled=True, p_detect=0.5, n_help=1)
     lines = run_simulation(small_scenario(demo_loaded=demo_loaded, watch=watch,
