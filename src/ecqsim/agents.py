@@ -93,8 +93,8 @@ class PwDAgent:
     p_forget: float
     position: Position
     streams: PwDStreams
+    watch: SmartWatch  # disabled when the scenario has no watch
     site_labels: tuple[str, ...] = ()
-    watch: SmartWatch | None = None
     mode: int = PWD_IDLE
     disoriented: bool = False
     false_goal: str | None = None
@@ -102,8 +102,7 @@ class PwDAgent:
     trip: Trip | None = None
     until: int = 0
     next_idx: int = 0
-    forget_eval: bool = False
-    forgotten: bool = False
+    forgot: bool | None = None  # None until drawn for the next appointment
     skipped: int = 0
     moved_tick: int = -1
     trip_seq: int = 0
@@ -122,8 +121,7 @@ class NurseAgent:
     position: Position
     state: int = NURSE_INACTIVE
     target: PwDAgent | None = field(default=None, repr=False, compare=False)
-    via_call: bool = False
-    call_episode: str | None = None
+    call_episode: str | None = None  # None for a response on sight
 
 
 @dataclass(slots=True)
@@ -159,15 +157,14 @@ def _start_trip(pwd: PwDAgent, grid: GridMap, tick: int, goal: str, leg: str,
         "trip": trip.trip_id, "leg": leg, "goal": goal, "nominal": trip.nominal}))
 
 
-def _reorient(pwd: PwDAgent, watch: SmartWatch | None) -> None:
+def _reorient(pwd: PwDAgent) -> None:
     """Clear the resident's disorientation and re-arm the watch.
 
     The episode id is left to the caller: guidance still reports it.
     """
     pwd.disoriented = False
     pwd.false_goal = None
-    if watch is not None:
-        watch.reset()
+    pwd.watch.reset()
 
 
 def _sample_false_goal(pwd: PwDAgent, grid: GridMap, true_goal: str) -> str | None:
@@ -189,7 +186,7 @@ def pwd_begin_tick(pwd: PwDAgent, grid: GridMap, tick: int,
         events.append(Event(tick, "A", TRIP_END, pwd.id, {
             "trip": trip.trip_id, "leg": trip.leg, "goal": trip.goal,
             "nominal": trip.nominal, "taken": tick - trip.start_tick}))
-        _reorient(pwd, pwd.watch)
+        _reorient(pwd)
         pwd.episode = None
         pwd.trip = None
         if trip.leg == LEG_OUT:
@@ -204,31 +201,24 @@ def pwd_begin_tick(pwd: PwDAgent, grid: GridMap, tick: int,
     if pwd.mode == PWD_IDLE and pwd.next_idx < len(pwd.schedule):
         appt = pwd.schedule[pwd.next_idx]
         if tick >= appt.start:
-            watch_on = pwd.watch is not None and pwd.watch.enabled
-            if pwd.p_forget > 0 and not pwd.forget_eval:
-                pwd.forget_eval = True
-                pwd.forgotten = pwd.streams.forget.random() < pwd.p_forget
-                if pwd.forgotten and not watch_on:
+            if pwd.forgot is None:
+                pwd.forgot = pwd.p_forget > 0 and \
+                    pwd.streams.forget.random() < pwd.p_forget
+            if pwd.forgot:
+                if not pwd.watch.enabled:
                     # Nothing will ever remind them; the appointment is missed.
                     pwd.skipped += 1
                     pwd.next_idx += 1
-                    pwd.forget_eval = False
-                    pwd.forgotten = False
-            if pwd.mode == PWD_IDLE and pwd.next_idx < len(pwd.schedule) \
-                    and pwd.schedule[pwd.next_idx] is appt:
-                depart = False
-                if not pwd.forgotten:
-                    depart = True
-                elif watch_on and tick >= appt.start + REMINDER_DELAY:
-                    events.append(Event(tick, "A", REMINDER, pwd.id,
-                                        {"appointment": pwd.next_idx}))
-                    depart = True
-                if depart:
-                    pwd.next_idx += 1
-                    pwd.forget_eval = False
-                    pwd.forgotten = False
-                    _start_trip(pwd, grid, tick, appt.location, LEG_OUT,
-                                appt.duration, events)
+                    pwd.forgot = None
+                    return
+                if tick < appt.start + REMINDER_DELAY:
+                    return
+                events.append(Event(tick, "A", REMINDER, pwd.id,
+                                    {"appointment": pwd.next_idx}))
+            pwd.next_idx += 1
+            pwd.forgot = None
+            _start_trip(pwd, grid, tick, appt.location, LEG_OUT,
+                        appt.duration, events)
 
     if pwd.mode == PWD_TRAVELING and not pwd.disoriented and pwd.p_d > 0:
         if pwd.streams.disorient.random() < pwd.p_d:
@@ -263,9 +253,10 @@ def pwd_move(pwd: PwDAgent, grid: GridMap, tick: int,
 # -- smart-watch -----------------------------------------------------------
 
 
-def watch_step(watch: SmartWatch, owner: PwDAgent, tick: int,
-               events: list[Event], queue: deque[Call] | None = None) -> None:
-    """Phase B for one watch: detection, interventions, escalation."""
+def watch_step(owner: PwDAgent, tick: int, events: list[Event],
+               queue: deque[Call]) -> None:
+    """Phase B for one resident's watch: detection, interventions, escalation."""
+    watch = owner.watch
     if not watch.enabled or not owner.disoriented:
         return
 
@@ -283,7 +274,7 @@ def watch_step(watch: SmartWatch, owner: PwDAgent, tick: int,
         if watch.intervene_rng.random() < owner.p_i:
             events.append(Event(tick, "B", INTERVENTION_SUCCESS, owner.id,
                                 {"episode": owner.episode}))
-            _reorient(owner, watch)
+            _reorient(owner)
             owner.episode = None
         else:
             watch.fail_count += 1
@@ -296,12 +287,11 @@ def watch_step(watch: SmartWatch, owner: PwDAgent, tick: int,
 
 
 def _call_nurse(watch: SmartWatch, owner: PwDAgent, tick: int,
-                events: list[Event], queue: deque[Call] | None) -> None:
+                events: list[Event], queue: deque[Call]) -> None:
     events.append(Event(tick, "B", NURSE_CALLED, owner.id, {
         "episode": owner.episode, "pos": _pos_str(owner.position)}))
     watch.phase = WATCH_AWAITING_NURSE
-    if queue is not None:
-        queue.append(Call(owner, owner.episode))
+    queue.append(Call(owner, owner.episode))
 
 
 # -- dispatch and nurses ---------------------------------------------------
@@ -326,8 +316,7 @@ def _begin_response(nurse: NurseAgent, pwd: PwDAgent, via: str, phase: str,
                     tick: int, events: list[Event]) -> None:
     nurse.state = NURSE_RESPONDING
     nurse.target = pwd
-    nurse.via_call = via == "call"
-    nurse.call_episode = pwd.episode
+    nurse.call_episode = pwd.episode if via == "call" else None
     pwd.nurse = nurse
     events.append(Event(tick, phase, RESPONSE_START, nurse.id, {
         "pwd": pwd.id, "episode": pwd.episode, "via": via}))
@@ -365,7 +354,6 @@ def _release(nurse: NurseAgent, ctx: WorldContext, tick: int,
     """Unlink the nurse from its resident; it takes the next live call, if any."""
     nurse.target.nurse = None
     nurse.target = None
-    nurse.via_call = False
     nurse.call_episode = None
     nurse.state = NURSE_INACTIVE
     while ctx.queue:
@@ -379,7 +367,7 @@ def _begin_guidance(nurse: NurseAgent, pwd: PwDAgent, tick: int,
                     events: list[Event]) -> None:
     nurse.state = NURSE_GUIDING
     pwd.mode = PWD_GUIDED
-    _reorient(pwd, pwd.watch)
+    _reorient(pwd)
     events.append(Event(tick, "C", GUIDANCE_START, nurse.id,
                         {"pwd": pwd.id, "episode": pwd.episode}))
 
@@ -416,7 +404,7 @@ def nurse_step(nurse: NurseAgent, ctx: WorldContext, tick: int,
         pwd = nurse.target
         if not pwd.disoriented:
             # Reoriented (or finished the trip) before the nurse arrived.
-            if nurse.via_call:
+            if nurse.call_episode is not None:
                 events.append(Event(tick, "C", CALL_DROPPED, pwd.id, {
                     "episode": nurse.call_episode, "reason": "aborted"}))
             _release(nurse, ctx, tick, events)

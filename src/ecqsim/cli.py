@@ -26,8 +26,8 @@ import yaml
 
 from .engine import ScenarioError, run_simulation
 from .experiment import (
-    PAPER_P_D, PAPER_P_DETECT, Strategy, SweepConfig, aggregate,
-    aggregates_to_csv, paper_strategies, rows_to_csv, run_sweep,
+    DEFAULT_REPLICATIONS, PAPER_P_D, PAPER_P_DETECT, Strategy, SweepConfig,
+    aggregate, aggregates_to_csv, paper_strategies, rows_to_csv, run_sweep,
 )
 from .grid import ROLES
 from .metrics import build_report
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "nowatch plus nhelp=0..5")
     p.add_argument("--grid", default=None,
                    help="override axes, e.g. \"p_d=0,0.5;strategy=nowatch,nhelp=2\"")
-    p.add_argument("--reps", type=int, default=200)
+    p.add_argument("--reps", type=int, default=DEFAULT_REPLICATIONS)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="sweep_rows.csv")
     p.add_argument("--aggregate", default="sweep_aggregate.csv")

@@ -10,11 +10,17 @@ Tick phase order:
   B  watch sense/intervene/call, then call dispatch
   C  nurse movement and guidance
   D  resident movement
-  E  tally recording
+  E  tally recording: each agent's current state gains the step length
 
 Agents are processed in ascending-id order within each phase.  A
 same-tick chain detection -> call -> response start is possible by
 construction, which is the normative tick semantics.
+
+A step is one tick while anything is live.  A quiescent span, in which
+no agent acts, draws or emits anything, is taken in one step, and
+phase E credits its length to the state each agent holds throughout.
+The every-tick reference is ``reference_run`` in the tests: it skips
+nothing and must produce the same log.
 """
 
 from __future__ import annotations
@@ -135,7 +141,7 @@ class Scenario:
         for nurse in self.nurses:
             if nurse.base not in locations or roles.get(nurse.base) != ROLE_NURSE_BASE:
                 problems.append(f"{nurse.id}: base {nurse.base!r} is not a nurse_base location")
-            if nurse.radius < 0:
+            if not nurse.radius >= 0:  # also rejects NaN
                 problems.append(f"{nurse.id}: radius must be >= 0")
         return problems
 
@@ -179,39 +185,40 @@ def _build_agents(scenario: Scenario) -> tuple[list[PwDAgent], list[NurseAgent]]
     return pwds, nurses
 
 
-def _quiet_until(ctx: WorldContext, horizon: int) -> int | None:
-    """Earliest tick anything can happen again, or None if the world is live.
+def _quiet_until(ctx: WorldContext, tick: int, horizon: int) -> int:
+    """The next tick after ``tick`` at which anything can happen, at most ``horizon``.
 
-    The world is quiescent when every resident is idle or dwelling, no
-    one is disoriented, the call queue is empty, and every nurse stands
-    inactive on a base cell.  Quiescent ticks consume no random draws
-    and emit no events, so they can be fast-forwarded.
+    That is ``tick + 1`` while the world is live.  It is quiescent when
+    every resident is idle or dwelling, no one is disoriented, the call
+    queue is empty, and every nurse stands inactive on a base cell.
+    Quiescent ticks consume no random draws and emit no events, so they
+    can be skipped up to the next departure, return trip or reminder.
     """
     if ctx.queue:
-        return None
+        return tick + 1
     wake = horizon
     for pwd in ctx.pwds:
         mode = pwd.mode
         if mode == PWD_TRAVELING or mode == PWD_GUIDED or pwd.disoriented:
-            return None
+            return tick + 1
         if mode == PWD_AT_APPOINTMENT:
             w = pwd.until
         else:  # idle
             if pwd.next_idx >= len(pwd.schedule):
                 continue
             appt = pwd.schedule[pwd.next_idx]
-            w = appt.start + (REMINDER_DELAY if pwd.forgotten else 0)
+            w = appt.start + (REMINDER_DELAY if pwd.forgot else 0)
         if w < wake:
             wake = w
     grid = ctx.grid
     for nurse in ctx.nurses:
         if nurse.state != NURSE_INACTIVE or \
                 not grid.at_label(nurse.position, nurse.base):
-            return None
-    return wake
+            return tick + 1
+    return max(wake, tick + 1)
 
 
-def run_simulation(scenario: Scenario, *, fast_forward: bool = True) -> EventLog:
+def run_simulation(scenario: Scenario) -> EventLog:
     """Execute the scenario for its full horizon and return the log."""
     problems = scenario.validate()
     if problems:
@@ -233,25 +240,16 @@ def run_simulation(scenario: Scenario, *, fast_forward: bool = True) -> EventLog
         for pwd in pwds:
             pwd_begin_tick(pwd, grid, tick, events)
         for pwd in pwds:
-            watch_step(pwd.watch, pwd, tick, events, queue)
+            watch_step(pwd, tick, events, queue)
         assign_calls(ctx, tick, events)
         for nurse in nurses:
             nurse_step(nurse, ctx, tick, events)
         for pwd in pwds:
             pwd_move(pwd, grid, tick, events)
+        step = _quiet_until(ctx, tick, horizon) - tick
         for pwd, ticks in pwd_tallies:
-            ticks[pwd.mode] += 1
+            ticks[pwd.mode] += step
         for nurse, ticks in nurse_tallies:
-            ticks[nurse.state] += 1
-        tick += 1
-
-        if fast_forward and tick < horizon:
-            wake = _quiet_until(ctx, horizon)
-            if wake is not None and wake > tick:
-                delta = min(wake, horizon) - tick
-                for pwd, ticks in pwd_tallies:
-                    ticks[pwd.mode] += delta
-                for nurse, ticks in nurse_tallies:
-                    ticks[nurse.state] += delta
-                tick += delta
+            ticks[nurse.state] += step
+        tick += step
     return log

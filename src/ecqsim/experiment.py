@@ -28,7 +28,6 @@ DEFAULT_REPLICATIONS = 200
 
 PAPER_P_D = (0.0, 0.25, 0.5, 0.75, 1.0)
 PAPER_P_DETECT = (0.5, 0.2)
-PAPER_P_I = 0.2
 PAPER_N_HELP = (0, 1, 2, 3, 4, 5)
 
 ROWS_CSV_HEADER = "config_id,replication,seed,p_d,p_detect,strategy,agent,metric,value"

@@ -21,19 +21,13 @@ import yaml
 
 from .agents import Appointment
 from .engine import (
-    DEFAULT_RADIUS, NurseConfig, PwDConfig, Scenario, ScenarioError,
+    DEFAULT_HORIZON, NurseConfig, PwDConfig, Scenario, ScenarioError,
     WatchConfig, derive_stream,
 )
 from .grid import ROLE_APPOINTMENT_SITE, ROLES, GridMap, MapError, parse_map
 
 DEFAULT_APPOINTMENTS = 6
 DEFAULT_APPOINTMENT_DURATION = 30
-
-_TOP_KEYS = {"map", "legend", "pwd", "nurses", "watch", "horizon", "seed",
-             "appointments_per_pwd", "appointment_duration"}
-_PWD_KEYS = {"id", "home", "p_d", "p_i", "p_noise", "p_forget", "appointments"}
-_NURSE_KEYS = {"id", "base", "radius"}
-_WATCH_KEYS = {"enabled", "p_detect", "n_help", "intervention_interval"}
 
 
 class InsufficientSitesError(ValueError):
@@ -52,7 +46,7 @@ class ScenarioTemplate:
     pwds: list[PwDConfig]
     nurses: list[NurseConfig]
     watch: WatchConfig = field(default_factory=WatchConfig)
-    horizon: int = 10_000
+    horizon: int = DEFAULT_HORIZON
     appointments_per_pwd: int = DEFAULT_APPOINTMENTS
     appointment_duration: int = DEFAULT_APPOINTMENT_DURATION
     seed: int = 0
@@ -111,31 +105,44 @@ def build_run(template: ScenarioTemplate, *, schedule_seed: int,
         horizon=template.horizon, seed=run_seed)
 
 
-def _number(value, name: str, problems: list[str], default: float) -> float:
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        problems.append(f"{name} must be a number, got {value!r}")
-        return default
-    return float(value)
+# Each section's keys and the type of each value; None marks a key read
+# on its own.  Values not read fall back to the dataclass defaults.
+_TOP_FIELDS = {"map": None, "legend": None, "pwd": None, "nurses": None,
+               "watch": None, "horizon": int, "appointments_per_pwd": int,
+               "appointment_duration": int, "seed": int}
+_PWD_FIELDS = {"id": None, "home": None, "appointments": None, "p_d": float,
+               "p_i": float, "p_noise": float, "p_forget": float}
+_APPOINTMENT_FIELDS = {"start": int, "duration": int}
+_NURSE_FIELDS = {"id": None, "base": None, "radius": float}
+_WATCH_FIELDS = {"enabled": bool, "p_detect": float, "n_help": int,
+                 "intervention_interval": int}
+_WANTED = {float: "a number", int: "an integer", bool: "true or false"}
 
 
-def _integer(value, name: str, problems: list[str], default: int) -> int:
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, int):
-        problems.append(f"{name} must be an integer, got {value!r}")
-        return default
-    return value
+def _read(row: dict, fields: dict, prefix: str, problems: list[str]) -> dict:
+    """The typed values of ``row``, in table order, as constructor keywords.
+
+    Absent, null and mistyped values are left out; a mistyped one adds
+    ``<prefix><key> must be ...`` to ``problems``.  Integers count as
+    numbers, booleans only as booleans.
+    """
+    values = {}
+    for key, kind in fields.items():
+        value = row.get(key)
+        if kind is None or value is None:
+            continue
+        if isinstance(value, (int, float) if kind is float else kind) \
+                and isinstance(value, bool) == (kind is bool):
+            values[key] = kind(value)
+        else:
+            problems.append(f"{prefix}{key} must be {_WANTED[kind]}, got {value!r}")
+    return values
 
 
-def _boolean(value, name: str, problems: list[str], default: bool) -> bool:
-    if value is None:
-        return default
-    if not isinstance(value, bool):
-        problems.append(f"{name} must be true or false, got {value!r}")
-        return default
-    return value
+def _unknown_keys(row: dict, fields: dict, prefix: str, problems: list[str]) -> None:
+    for key in row:
+        if key not in fields:
+            problems.append(f"{prefix}unknown key {key!r}")
 
 
 def _section(value, kind: type, name: str, problems: list[str]):
@@ -156,14 +163,13 @@ def load_scenario(path: str | Path) -> ScenarioTemplate:
     """
     path = Path(path)
     # libyaml's loader when PyYAML was built with it; same result, faster.
-    raw = yaml.load(path.read_text(encoding="utf-8"),
-                    Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    # Loading from the open file names it in syntax errors.
+    with path.open(encoding="utf-8") as stream:
+        raw = yaml.load(stream, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     problems: list[str] = []
     if not isinstance(raw, dict):
         raise ScenarioError(["scenario file must be a mapping"])
-    for key in raw:
-        if key not in _TOP_KEYS:
-            problems.append(f"unknown key {key!r}")
+    _unknown_keys(raw, _TOP_FIELDS, "", problems)
 
     legend: dict[str, tuple[str, str]] = {}
     for glyph, entry in _section(raw.get("legend"), dict, "legend", problems).items():
@@ -194,9 +200,7 @@ def load_scenario(path: str | Path) -> ScenarioTemplate:
         if not isinstance(row, dict) or "id" not in row or "home" not in row:
             problems.append(f"pwd entry {i}: need id and home")
             continue
-        for key in row:
-            if key not in _PWD_KEYS:
-                problems.append(f"pwd {row.get('id')}: unknown key {key!r}")
+        _unknown_keys(row, _PWD_FIELDS, f"pwd {row['id']}: ", problems)
         appointments = []
         for j, appt in enumerate(_section(row.get("appointments"), list,
                                           f"pwd {row['id']} appointments", problems)):
@@ -204,21 +208,15 @@ def load_scenario(path: str | Path) -> ScenarioTemplate:
                     or "start" not in appt:
                 problems.append(f"pwd {row['id']}: appointment {j} needs location and start")
                 continue
-            appointments.append(Appointment(
-                location=str(appt["location"]),
-                start=_integer(appt["start"], f"pwd {row['id']} appointment {j} start",
-                               problems, 0),
-                duration=_integer(appt.get("duration"),
-                                  f"pwd {row['id']} appointment {j} duration",
-                                  problems, DEFAULT_APPOINTMENT_DURATION)))
+            values = _read(appt, _APPOINTMENT_FIELDS,
+                           f"pwd {row['id']} appointment {j} ", problems)
+            if "start" in values:  # else the file is rejected anyway
+                appointments.append(Appointment(
+                    str(appt["location"]), values["start"],
+                    values.get("duration", DEFAULT_APPOINTMENT_DURATION)))
         pwds.append(PwDConfig(
             id=str(row["id"]), home=str(row["home"]), schedule=appointments,
-            p_d=_number(row.get("p_d"), f"pwd {row['id']} p_d", problems, 0.0),
-            p_i=_number(row.get("p_i"), f"pwd {row['id']} p_i", problems, 0.2),
-            p_noise=_number(row.get("p_noise"), f"pwd {row['id']} p_noise",
-                            problems, 0.1),
-            p_forget=_number(row.get("p_forget"), f"pwd {row['id']} p_forget",
-                             problems, 0.0)))
+            **_read(row, _PWD_FIELDS, f"pwd {row['id']} ", problems)))
 
     nurses: list[NurseConfig] = []
     rows = raw.get("nurses")
@@ -228,35 +226,19 @@ def load_scenario(path: str | Path) -> ScenarioTemplate:
         if not isinstance(row, dict) or "id" not in row or "base" not in row:
             problems.append(f"nurse entry {i}: need id and base")
             continue
-        for key in row:
-            if key not in _NURSE_KEYS:
-                problems.append(f"nurse {row.get('id')}: unknown key {key!r}")
+        _unknown_keys(row, _NURSE_FIELDS, f"nurse {row['id']}: ", problems)
         nurses.append(NurseConfig(
             id=str(row["id"]), base=str(row["base"]),
-            radius=_number(row.get("radius"), f"nurse {row['id']} radius",
-                           problems, DEFAULT_RADIUS)))
+            **_read(row, _NURSE_FIELDS, f"nurse {row['id']} ", problems)))
 
     watch_raw = _section(raw.get("watch"), dict, "watch", problems)
-    for key in watch_raw:
-        if key not in _WATCH_KEYS:
-            problems.append(f"watch: unknown key {key!r}")
-    watch = WatchConfig(
-        enabled=_boolean(watch_raw.get("enabled"), "watch enabled", problems, True),
-        p_detect=_number(watch_raw.get("p_detect"), "watch p_detect", problems, 0.5),
-        n_help=_integer(watch_raw.get("n_help"), "watch n_help", problems, 1),
-        intervention_interval=_integer(watch_raw.get("intervention_interval"),
-                                       "watch intervention_interval", problems, 1))
+    _unknown_keys(watch_raw, _WATCH_FIELDS, "watch: ", problems)
+    watch = WatchConfig(**_read(watch_raw, _WATCH_FIELDS, "watch ", problems))
 
+    # Read last, so their problems follow the sections'.
     template = ScenarioTemplate(
         grid=grid, pwds=pwds, nurses=nurses, watch=watch,
-        horizon=_integer(raw.get("horizon"), "horizon", problems, 10_000),
-        appointments_per_pwd=_integer(raw.get("appointments_per_pwd"),
-                                      "appointments_per_pwd", problems,
-                                      DEFAULT_APPOINTMENTS),
-        appointment_duration=_integer(raw.get("appointment_duration"),
-                                      "appointment_duration", problems,
-                                      DEFAULT_APPOINTMENT_DURATION),
-        seed=_integer(raw.get("seed"), "seed", problems, 0))
+        **_read(raw, _TOP_FIELDS, "", problems))
 
     # generate_schedule cannot draw from a negative count or horizon, so
     # these are checked before the trial materialization below.

@@ -6,11 +6,16 @@ from importlib import resources
 import pytest
 from hypothesis import strategies as st
 
-from ecqsim.engine import NurseConfig, PwDConfig, WatchConfig, derive_stream
-from ecqsim.agents import PwDAgent, PwDStreams, SmartWatch
+from ecqsim.engine import (
+    NurseConfig, PwDConfig, WatchConfig, _build_agents, derive_stream,
+)
+from ecqsim.agents import (
+    PwDAgent, PwDStreams, SmartWatch, WorldContext, assign_calls, nurse_step,
+    pwd_begin_tick, pwd_move, watch_step,
+)
 from ecqsim.events import (
     DETECTION, GUIDANCE_END, GUIDANCE_START, INTERVENTION_FAIL, NURSE_CALLED,
-    RESPONSE_START,
+    RESPONSE_START, EventLog,
 )
 from ecqsim.grid import parse_map
 from ecqsim.scenario import ScenarioTemplate, load_scenario
@@ -37,6 +42,37 @@ def bfs_oracle(grid, start, goal):
                 seen.add((nx, ny))
                 queue.append(((nx, ny), d + 1))
     return None
+
+
+def reference_run(scenario):
+    """Every-tick stepper: what ``run_simulation`` must equal.
+
+    It builds the agents and calls the five phase functions as the
+    engine does, but steps every agent on every tick and adds one to
+    each tally, skipping nothing.  Comparing logs checks the engine's
+    scheduler alone.
+    """
+    grid = scenario.grid
+    pwds, nurses = _build_agents(scenario)
+    ctx = WorldContext(grid=grid, pwds=pwds, nurses=nurses)
+    log = EventLog(scenario.horizon, scenario.seed,
+                   [p.id for p in pwds], [n.id for n in nurses])
+    events = log.events
+    for tick in range(scenario.horizon):
+        for pwd in pwds:
+            pwd_begin_tick(pwd, grid, tick, events)
+        for pwd in pwds:
+            watch_step(pwd, tick, events, ctx.queue)
+        assign_calls(ctx, tick, events)
+        for nurse in nurses:
+            nurse_step(nurse, ctx, tick, events)
+        for pwd in pwds:
+            pwd_move(pwd, grid, tick, events)
+        for pwd in pwds:
+            log.pwd_mode_ticks[pwd.id][pwd.mode] += 1
+        for nurse in nurses:
+            log.nurse_state_ticks[nurse.id][nurse.state] += 1
+    return log
 
 
 def check_causal_ordering(log):
@@ -103,6 +139,7 @@ def corridor_grid(length: int, with_base: bool = False):
 
 def make_pwd(grid, *, seed=1, schedule=(), p_d=0.0, p_i=0.2, p_noise=0.0,
              p_forget=0.0, home="home", pwd_id="P1", watch=None) -> PwDAgent:
+    """A resident at home; without ``watch`` it wears a disabled one."""
     streams = PwDStreams(
         disorient=derive_stream(seed, pwd_id, "disorient"),
         noise=derive_stream(seed, pwd_id, "noise"),
@@ -113,7 +150,7 @@ def make_pwd(grid, *, seed=1, schedule=(), p_d=0.0, p_i=0.2, p_noise=0.0,
         id=pwd_id, home=home, schedule=list(schedule), p_d=p_d, p_i=p_i,
         p_noise=p_noise, p_forget=p_forget, position=grid.only_cell(home),
         streams=streams, site_labels=tuple(grid.labels_with_role("appointment_site")),
-        watch=watch,
+        watch=watch or make_watch(pwd_id, seed=seed, enabled=False),
     )
 
 

@@ -7,7 +7,7 @@ seeded, so results are reproducible bit for bit.
 
 import random
 import time
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import replace
 from statistics import mean
 
@@ -69,7 +69,8 @@ def test_criterion_1_escalation_oracle():
                        schedule=[Appointment("site", 0, 0)], p_d=1.0)
         pwd_begin_tick(pwd, grid, 0, [])
         assert pwd.disoriented
-        watch = make_watch(seed=1000 + n_help, p_detect=1.0, n_help=n_help)
+        watch = pwd.watch = make_watch(seed=1000 + n_help, p_detect=1.0,
+                                       n_help=n_help)
         calls = 0
         tick = 0
         for _ in range(episodes):
@@ -79,7 +80,7 @@ def test_criterion_1_escalation_oracle():
             while True:
                 tick += 1
                 events = []
-                watch_step(watch, pwd, tick, events)
+                watch_step(pwd, tick, events, deque())
                 if any(e.kind == NURSE_CALLED for e in events):
                     calls += 1
                     break

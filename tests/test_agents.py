@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,12 +158,12 @@ def hold_disoriented(grid, seed, p_i):
     return pwd
 
 
-def run_watch_episode(watch, pwd, start_tick=0, queue=None):
+def run_watch_episode(pwd, start_tick=0):
     """Drive only the watch until the episode resolves; True if escalated."""
     tick = start_tick
     while True:
         events = []
-        watch_step(watch, pwd, tick, events, queue)
+        watch_step(pwd, tick, events, deque())
         if any(e.kind == NURSE_CALLED for e in events):
             return True, tick
         if not pwd.disoriented:
@@ -173,20 +174,22 @@ def run_watch_episode(watch, pwd, start_tick=0, queue=None):
 def test_nhelp_zero_calls_on_detection_tick():
     grid = OPEN_ROOM
     pwd = hold_disoriented(grid, seed=3, p_i=0.2)
-    watch = make_watch(seed=3, p_detect=1.0, n_help=0)
+    pwd.watch = make_watch(seed=3, p_detect=1.0, n_help=0)
     events = []
-    watch_step(watch, pwd, 5, events)
+    queue = deque()
+    watch_step(pwd, 5, events, queue)
     kinds = [e.kind for e in events]
     assert kinds == [DETECTION, NURSE_CALLED]
     assert not any(e.kind == INTERVENTION_FAIL for e in events)
+    assert [(c.pwd, c.episode) for c in queue] == [(pwd, pwd.episode)]
 
 
 def test_certain_intervention_never_calls():
     grid = OPEN_ROOM
     for n_help in (1, 3, 5):
         pwd = hold_disoriented(grid, seed=n_help, p_i=1.0)
-        watch = make_watch(seed=n_help, p_detect=1.0, n_help=n_help)
-        escalated, _ = run_watch_episode(watch, pwd)
+        pwd.watch = make_watch(seed=n_help, p_detect=1.0, n_help=n_help)
+        escalated, _ = run_watch_episode(pwd)
         assert not escalated
 
 
@@ -195,14 +198,14 @@ def test_escalation_probability_closed_form():
     grid = OPEN_ROOM
     episodes = 10_000
     pwd = hold_disoriented(grid, seed=11, p_i=0.2)
-    watch = make_watch(seed=11, p_detect=1.0, n_help=3)
+    watch = pwd.watch = make_watch(seed=11, p_detect=1.0, n_help=3)
     calls = 0
     tick = 0
     for _ in range(episodes):
         watch.reset()
         pwd.disoriented = True
         pwd.episode = "P1.e"
-        escalated, tick = run_watch_episode(watch, pwd, tick + 1)
+        escalated, tick = run_watch_episode(pwd, tick + 1)
         calls += escalated
     assert abs(calls / episodes - 0.512) < 0.02
 
@@ -236,16 +239,16 @@ def test_escalation_probability_exhaustive_enumeration():
                 watch.phase, watch.fail_count, watch.next_attempt
             w.detect_rng = ScriptedRng(0.0)
             w.intervene_rng = ScriptedRng(draw)
-            p = make_pwd(grid, p_i=p_i)
+            p = make_pwd(grid, p_i=p_i, watch=w)
             p.disoriented = True
             p.episode = "e"
-            watch_step(w, p, tick, [])
+            watch_step(p, tick, [], deque())
             total += weight * explore(w, p, tick + 1)
         return total
 
     for n_help in range(6):
         watch = make_watch(p_detect=1.0, n_help=n_help)
-        pwd = make_pwd(grid, p_i=p_i)
+        pwd = make_pwd(grid, p_i=p_i, watch=watch)
         pwd.disoriented = True
         pwd.episode = "e"
         assert explore(watch, pwd, 0) == pytest.approx((1 - p_i) ** n_help,
@@ -255,10 +258,10 @@ def test_escalation_probability_exhaustive_enumeration():
 def test_fail_count_bounded_and_silent_after_call():
     grid = OPEN_ROOM
     pwd = hold_disoriented(grid, seed=8, p_i=0.0)
-    watch = make_watch(seed=8, p_detect=1.0, n_help=2)
+    watch = pwd.watch = make_watch(seed=8, p_detect=1.0, n_help=2)
     all_events = []
     for tick in range(10):
-        watch_step(watch, pwd, tick, all_events)
+        watch_step(pwd, tick, all_events, deque())
         assert watch.fail_count <= watch.n_help
     called_at = next(e.tick for e in all_events if e.kind == NURSE_CALLED)
     assert not any(e.kind == INTERVENTION_FAIL and e.tick > called_at
@@ -270,10 +273,10 @@ def test_fail_count_bounded_and_silent_after_call():
 def test_intervention_interval_spaces_attempts():
     grid = OPEN_ROOM
     pwd = hold_disoriented(grid, seed=4, p_i=0.0)
-    watch = make_watch(seed=4, p_detect=1.0, n_help=3, interval=4)
+    pwd.watch = make_watch(seed=4, p_detect=1.0, n_help=3, interval=4)
     events = []
     for tick in range(20):
-        watch_step(watch, pwd, tick, events)
+        watch_step(pwd, tick, events, deque())
     fails = [e.tick for e in events if e.kind == INTERVENTION_FAIL]
     assert fails == [0, 4, 8]
 
@@ -364,7 +367,8 @@ def test_sight_scan_matches_naive_scan(case):
         pwds.append(PwDAgent(
             id=f"P{k}", home="home", schedule=[], p_d=1.0, p_i=0.0, p_noise=0.0,
             p_forget=0.0, position=Position(*cell), streams=streams,
-            disoriented=True, episode=f"P{k}.e1"))
+            watch=make_watch(f"P{k}", enabled=False), disoriented=True,
+            episode=f"P{k}.e1"))
     # Naive scan: argmin of (distance, idx) over every resident in sight.
     seen = [(grid.distance(nurse.position, p.position), idx)
             for idx, p in enumerate(pwds)

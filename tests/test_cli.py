@@ -107,6 +107,43 @@ def test_validate_negative_schedule_value(tmp_path, capsys, overrides, line):
     assert capsys.readouterr().err.splitlines() == [line]
 
 
+def test_validate_nan_radius(tmp_path, capsys):
+    path = write_demo(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    raw["nurses"][0]["radius"] = float("nan")
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: N1: radius must be >= 0"]
+
+
+def test_validate_lists_every_problem_in_file_order(tmp_path, capsys):
+    path = write_demo(tmp_path, extra=1, horizon="long", seed=1.5)
+    raw = yaml.safe_load(path.read_text())
+    raw["pwd"][0].update(colour="red", p_d="high", appointments=[
+        {"location": "dining", "start": "soon", "duration": 1.5}])
+    raw["pwd"][1]["p_i"] = True
+    raw["nurses"][0]["shift"] = "night"
+    raw["nurses"][1]["radius"] = "far"
+    raw["watch"].update(beep=True, enabled="yes", n_help=1.5)
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unknown key 'extra'",
+        "error: pwd P1: unknown key 'colour'",
+        "error: pwd P1 appointment 0 start must be an integer, got 'soon'",
+        "error: pwd P1 appointment 0 duration must be an integer, got 1.5",
+        "error: pwd P1 p_d must be a number, got 'high'",
+        "error: pwd P2 p_i must be a number, got True",
+        "error: nurse N1: unknown key 'shift'",
+        "error: nurse N2 radius must be a number, got 'far'",
+        "error: watch: unknown key 'beep'",
+        "error: watch enabled must be true or false, got 'yes'",
+        "error: watch n_help must be an integer, got 1.5",
+        "error: horizon must be an integer, got 'long'",
+        "error: seed must be an integer, got 1.5",
+    ]
+
+
 def test_missing_file_is_io_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.yaml")]) == 3
     assert capsys.readouterr().err.startswith("error:")
@@ -270,13 +307,13 @@ def test_demo_round_trip(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "fixtures" / "demo_scenario.yaml")]) == 0
 
 
-@pytest.mark.parametrize("text", [
-    "map: demo_map.txt\nlegend: {h: 1\n",
-    "map: demo_map.txt\n\thorizon: 100\n",
+@pytest.mark.parametrize("text, where", [
+    ("map: demo_map.txt\nlegend: {h: 1\n", "line 2, column 9"),
+    ("map: demo_map.txt\n\thorizon: 100\n", "line 2, column 1"),
 ], ids=["unclosed-flow-mapping", "tab-indented-key"])
 @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
 def test_malformed_scenario_is_one_error_line(tmp_path, capsys, monkeypatch,
-                                              text, libyaml):
+                                              text, where, libyaml):
     if not libyaml:
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
     path = tmp_path / "bad.yaml"
@@ -284,6 +321,7 @@ def test_malformed_scenario_is_one_error_line(tmp_path, capsys, monkeypatch,
     assert main(["validate", str(path)]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: bad scenario file:")
+    assert f'in "{path}", {where}' in lines[0]
 
 
 def test_pure_python_loader_gives_the_same_template(monkeypatch):

@@ -3,7 +3,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 
-from conftest import check_causal_ordering, corridor_grid, facilities
+from conftest import (
+    check_causal_ordering, corridor_grid, facilities, reference_run,
+)
 
 from ecqsim.engine import (
     NurseConfig, PwDConfig, Scenario, ScenarioError, WatchConfig,
@@ -55,10 +57,18 @@ def test_determinism_same_seed_identical_bytes(demo_loaded):
 def test_fast_forward_is_invisible(demo_loaded):
     watch = WatchConfig(enabled=True, p_detect=0.5, n_help=2)
     scenario = small_scenario(demo_loaded=demo_loaded, watch=watch, seed=11)
-    with_skip = run_simulation(scenario, fast_forward=True)
-    without = run_simulation(small_scenario(demo_loaded=demo_loaded, watch=watch, seed=11),
-                             fast_forward=False)
-    assert with_skip.to_text() == without.to_text()
+    assert run_simulation(scenario).to_text() == reference_run(scenario).to_text()
+
+
+@pytest.mark.parametrize("strategy", [None, 0, 5], ids=["nowatch", "nhelp=0", "nhelp=5"])
+@pytest.mark.parametrize("p_d", [0.0, 0.5, 1.0])
+def test_paper_grid_runs_match_the_reference(demo_loaded, p_d, strategy):
+    # Full demo horizon; at p_d=0 nearly every tick is skipped.
+    watch = WatchConfig(enabled=strategy is not None, p_detect=0.5,
+                        n_help=strategy or 0)
+    scenario = build_run(demo_loaded, schedule_seed=5, replication=0,
+                         run_seed=5, p_d=p_d, watch=watch)
+    assert run_simulation(scenario).to_text() == reference_run(scenario).to_text()
 
 
 def test_forced_chain_detection_and_call_same_tick(demo_loaded):
@@ -100,7 +110,7 @@ def test_tally_conservation_and_event_order(demo_loaded):
 def test_whole_run_invariants_on_generated_facilities(template):
     log = run_simulation(template.scenario())
     text = log.to_text()
-    assert run_simulation(template.scenario(), fast_forward=False).to_text() == text
+    assert reference_run(template.scenario()).to_text() == text
     for agent_id in log.pwd_ids:
         assert sum(log.pwd_mode_counts(agent_id)) == log.horizon
     for agent_id in log.nurse_ids:
