@@ -24,11 +24,9 @@ from .experiment import (
 from .grid import (
     DisconnectedMapError, GridMap, MapError, MissingRoleError, Position,
     RaggedGridError, UnknownGlyphError, UnreachableError, line_of_sight,
-    parse_map, serialize_map, shortest_path,
+    parse_map, shortest_path,
 )
-from .metrics import (
-    MetricReport, UnknownAgentError, autonomy, build_report, nurse_efficiency,
-)
+from .metrics import MetricReport, autonomy, build_report, nurse_efficiency
 from .scenario import (
     InsufficientSitesError, ScenarioTemplate, generate_schedule, load_scenario,
 )
@@ -41,10 +39,9 @@ __all__ = [
     "MissingRoleError", "NurseAgent", "NurseConfig", "Position", "PwDAgent",
     "PwDConfig", "RaggedGridError", "Scenario", "ScenarioError",
     "ScenarioTemplate", "SmartWatch", "Strategy", "SweepConfig", "SweepRow",
-    "UnknownAgentError", "UnknownGlyphError", "UnreachableError",
-    "WatchConfig", "aggregate", "assign_calls", "autonomy", "build_report",
-    "derive_stream", "generate_schedule", "line_of_sight", "load_scenario",
-    "nurse_efficiency", "nurse_step", "paper_strategies", "parse_map",
-    "run_simulation", "run_sweep", "serialize_map", "shortest_path",
-    "watch_step",
+    "UnknownGlyphError", "UnreachableError", "WatchConfig", "aggregate",
+    "assign_calls", "autonomy", "build_report", "derive_stream",
+    "generate_schedule", "line_of_sight", "load_scenario", "nurse_efficiency",
+    "nurse_step", "paper_strategies", "parse_map", "run_simulation",
+    "run_sweep", "shortest_path", "watch_step",
 ]

@@ -103,7 +103,6 @@ class PwDAgent:
     until: int = 0
     next_idx: int = 0
     forgot: bool | None = None  # None until drawn for the next appointment
-    skipped: int = 0
     moved_tick: int = -1
     trip_seq: int = 0
     episode_seq: int = 0
@@ -207,7 +206,6 @@ def pwd_begin_tick(pwd: PwDAgent, grid: GridMap, tick: int,
             if pwd.forgot:
                 if not pwd.watch.enabled:
                     # Nothing will ever remind them; the appointment is missed.
-                    pwd.skipped += 1
                     pwd.next_idx += 1
                     pwd.forgot = None
                     return

@@ -77,9 +77,6 @@ class EventLog:
         self.nurse_state_ticks: dict[str, list[int]] = \
             {n: [0] * len(NURSE_STATE_NAMES) for n in nurse_ids}
 
-    def append(self, event: Event) -> None:
-        self.events.append(event)
-
     # -- tallies ---------------------------------------------------------
 
     def pwd_mode_counts(self, pwd_id: str) -> tuple[int, int, int, int]:
@@ -155,5 +152,5 @@ class EventLog:
             if event.subject not in known[header]:
                 raise ValueError(
                     f"event subject {event.subject!r} is not in the {header} header")
-            log.append(event)
+            log.events.append(event)
         return log

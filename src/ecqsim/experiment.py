@@ -15,6 +15,7 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from statistics import mean, stdev
@@ -80,8 +81,13 @@ class SweepConfig:
             for level in levels:
                 if not 0.0 <= level <= 1.0:
                     problems.append(f"{name} level {level} outside [0, 1]")
+            # A repeat would rerun the same seeds and count its rows twice.
+            problems.extend(f"repeated {name} level {level}"
+                            for level, n in Counter(levels).items() if n > 1)
         if not self.strategies:
             problems.append("no strategies")
+        problems.extend(f"repeated strategy {strategy.label()}"
+                        for strategy, n in Counter(self.strategies).items() if n > 1)
         return problems
 
 

@@ -72,21 +72,16 @@ class GridMap:
     """Immutable 2-D orthogonal grid with labeled locations.
 
     ``cells`` is row-major; each entry is ``WALL``, ``FLOOR``, or a label
-    string.  Construction validates every structural invariant; after
-    that instances are safe to share between concurrent runs.
+    string.  :func:`parse_map` checks the legend and the text, and
+    construction checks placement and connectivity; after that instances
+    are safe to share between concurrent runs.
     """
 
-    def __init__(self, width: int, height: int, cells: list[str],
-                 roles: dict[str, str], glyphs: dict[str, str]):
-        if width <= 0 or height <= 0:
-            raise MapError("map must have positive dimensions")
-        if len(cells) != width * height:
-            raise MapError("cell array does not match dimensions")
+    def __init__(self, width: int, height: int, cells: list[str], roles: dict[str, str]):
         self.width = width
         self.height = height
         self.cells = tuple(cells)
         self.roles = dict(roles)
-        self.glyphs = dict(glyphs)
 
         # One shared Position per cell, row-major.
         self._positions = tuple(Position(i % width, i // width)
@@ -98,9 +93,6 @@ class GridMap:
         self.locations: dict[str, tuple[Position, ...]] = {
             label: tuple(cells_) for label, cells_ in locations.items()
         }
-        for label in self.locations:
-            if label not in self.roles:
-                raise MapError(f"label {label!r} has no role")
 
         # Traversability flags, row-major.
         self._open = bytes(0 if c == WALL else 1 for c in self.cells)
@@ -116,9 +108,6 @@ class GridMap:
     # -- validation ----------------------------------------------------
 
     def _validate(self) -> None:
-        for label, role in self.roles.items():
-            if role not in ROLES:
-                raise MapError(f"unknown role {role!r} for label {label!r}")
         for label, role in self.roles.items():
             placed = self.locations.get(label, ())
             if role == ROLE_PWD_HOME:
@@ -139,9 +128,6 @@ class GridMap:
 
     def in_bounds(self, pos: Position) -> bool:
         return 0 <= pos.x < self.width and 0 <= pos.y < self.height
-
-    def cell_at(self, pos: Position) -> str:
-        return self.cells[pos.y * self.width + pos.x]
 
     def is_open(self, pos: Position) -> bool:
         return bool(self._open[pos.y * self.width + pos.x])
@@ -283,7 +269,7 @@ class GridMap:
         return state
 
 
-# -- parsing / serialization -------------------------------------------
+# -- parsing -----------------------------------------------------------
 
 
 def parse_map(text: str, legend: dict[str, tuple[str, str]] | None = None) -> GridMap:
@@ -294,7 +280,7 @@ def parse_map(text: str, legend: dict[str, tuple[str, str]] | None = None) -> Gr
     ``glyph -> (label, role)``.
     """
     legend = legend or {}
-    glyph_of: dict[str, str] = {}
+    seen: set[str] = set()
     for glyph, (label, role) in legend.items():
         if len(glyph) != 1 or glyph in (WALL, FLOOR, COMMENT) or glyph.isspace():
             raise MapError(f"invalid legend glyph {glyph!r}")
@@ -302,9 +288,9 @@ def parse_map(text: str, legend: dict[str, tuple[str, str]] | None = None) -> Gr
             raise MapError(f"invalid label {label!r}")
         if role not in ROLES:
             raise MapError(f"unknown role {role!r} for glyph {glyph!r}")
-        if label in glyph_of:
+        if label in seen:
             raise MapError(f"label {label!r} mapped from two glyphs")
-        glyph_of[label] = glyph
+        seen.add(label)
 
     lines = [line for line in text.splitlines()
              if line and not line.startswith(COMMENT)]
@@ -334,22 +320,7 @@ def parse_map(text: str, legend: dict[str, tuple[str, str]] | None = None) -> Gr
     for label, role in legend.values():
         roles.setdefault(label, role)
 
-    return GridMap(width, len(lines), cells, roles, glyph_of)
-
-
-def serialize_map(grid: GridMap) -> str:
-    """Inverse of :func:`parse_map` on the cell array."""
-    out = []
-    for y in range(grid.height):
-        row = []
-        for x in range(grid.width):
-            cell = grid.cells[y * grid.width + x]
-            if cell == WALL or cell == FLOOR:
-                row.append(cell)
-            else:
-                row.append(grid.glyphs[cell])
-        out.append("".join(row))
-    return "\n".join(out) + "\n"
+    return GridMap(width, len(lines), cells, roles)
 
 
 # -- pathfinding / perception ------------------------------------------

@@ -25,10 +25,6 @@ from .events import (
 )
 
 
-class UnknownAgentError(KeyError):
-    """The log does not cover the requested agent."""
-
-
 @dataclass(slots=True)
 class AgentCounts:
     trips_completed: int = 0
@@ -67,8 +63,6 @@ class MetricReport:
 
 def autonomy(log: EventLog, pwd_id: str) -> float:
     """Share of the run the resident was not nurse-guided, as a percent."""
-    if pwd_id not in log.pwd_mode_ticks:
-        raise UnknownAgentError(pwd_id)
     guided = log.pwd_mode_ticks[pwd_id][PWD_GUIDED]
     return 100.0 * (log.horizon - guided) / log.horizon
 
@@ -78,8 +72,6 @@ def nurse_efficiency(log: EventLog, nurse_id: str) -> float:
 
     Responding and guiding both count as active time.
     """
-    if nurse_id not in log.nurse_state_ticks:
-        raise UnknownAgentError(nurse_id)
     inactive = log.nurse_state_ticks[nurse_id][NURSE_INACTIVE]
     return 100.0 * inactive / log.horizon
 

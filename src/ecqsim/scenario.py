@@ -240,12 +240,14 @@ def load_scenario(path: str | Path) -> ScenarioTemplate:
         grid=grid, pwds=pwds, nurses=nurses, watch=watch,
         **_read(raw, _TOP_FIELDS, "", problems))
 
-    # generate_schedule cannot draw from a negative count or horizon, so
-    # these are checked before the trial materialization below.
+    # generate_schedule cannot draw from a negative count or horizon, and a
+    # negative duration would be reported per appointment: check these first.
     if template.horizon <= 0:
         problems.append("horizon must be positive")
     if template.appointments_per_pwd < 0:
         problems.append("appointments_per_pwd must be >= 0")
+    if template.appointment_duration < 0:
+        problems.append("appointment_duration must be >= 0")
 
     # Semantic validation via a trial materialization.
     if not problems:

@@ -145,7 +145,7 @@ def test_forgotten_appointment_without_watch_is_skipped():
     pwd = make_pwd(grid, schedule=[Appointment("site", 10, 0)], p_forget=1.0)
     events = drive(pwd, grid, 60)
     assert not any(e.kind == TRIP_START for e in events)
-    assert pwd.skipped == 1
+    assert pwd.next_idx == 1 and pwd.forgot is None
 
 
 # -- smart-watch --------------------------------------------------------------

@@ -100,7 +100,8 @@ def test_validate_non_boolean_watch_enabled(tmp_path, capsys, value):
 @pytest.mark.parametrize("overrides, line", [
     ({"appointments_per_pwd": -1}, "error: appointments_per_pwd must be >= 0"),
     ({"horizon": -5}, "error: horizon must be positive"),
-], ids=["appointments-per-pwd", "horizon"])
+    ({"appointment_duration": -5}, "error: appointment_duration must be >= 0"),
+], ids=["appointments-per-pwd", "horizon", "appointment-duration"])
 def test_validate_negative_schedule_value(tmp_path, capsys, overrides, line):
     path = write_demo(tmp_path, **overrides)
     assert main(["validate", str(path)]) == 2
@@ -293,6 +294,25 @@ def test_sweep_requires_grid_choice(tmp_path, capsys):
     assert "paper-grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid, line", [
+    ("p_d=1.5", "p_d level 1.5 outside [0, 1]"),
+    ("p_detect=nan", "p_detect level nan outside [0, 1]"),
+    ("p_d=0.5,0.5;p_detect=0.5;strategy=nhelp=1", "repeated p_d level 0.5"),
+    ("p_d=0.5;p_detect=0.5,0.50;strategy=nhelp=1", "repeated p_detect level 0.5"),
+    ("p_d=0.5;p_detect=0.5;strategy=nhelp=1,nhelp=01", "repeated strategy nhelp=1"),
+], ids=["p_d-range", "p_detect-nan", "repeated-p_d", "repeated-p_detect",
+        "repeated-strategy"])
+def test_sweep_rejects_bad_grid_value(tmp_path, capsys, grid, line):
+    path = small_demo(tmp_path)
+    capsys.readouterr()
+    assert main(["sweep", str(path), "--grid", grid, "--reps", "2", "--jobs", "1",
+                 "--out", str(tmp_path / "rows.csv"),
+                 "--aggregate", str(tmp_path / "agg.csv")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "demo_map.txt", "demo_scenario.yaml"]
+
+
 def test_sweep_rejects_bad_grid_token(tmp_path, capsys):
     path = small_demo(tmp_path)
     assert main(["sweep", str(path), "--grid", "p_d=zz"]) == 2
@@ -329,6 +349,6 @@ def test_pure_python_loader_gives_the_same_template(monkeypatch):
     monkeypatch.delattr(yaml, "CSafeLoader")
     slow = load_scenario(demo_scenario_path())
     # GridMap compares by identity; compare what parse_map built from the text.
-    for attr in ("width", "height", "cells", "roles", "glyphs", "locations"):
+    for attr in ("width", "height", "cells", "roles", "locations"):
         assert getattr(slow.grid, attr) == getattr(fast.grid, attr)
     assert replace(slow, grid=fast.grid) == fast

@@ -49,6 +49,17 @@ def test_sweep_config_strategies(demo_loaded):
     assert empty.validate() == ["no strategies"]
 
 
+def test_sweep_config_rejects_repeated_values(demo_loaded):
+    # A repeated value reruns its configurations on the same seeds and
+    # counts their rows twice in the aggregate.
+    config = small_config(
+        demo_loaded, p_d_levels=(0.5, 0.25, 0.5, 0.5), p_detect_levels=(0.2, 0.2),
+        strategies=(Strategy(True, 1), Strategy(False), Strategy(True, 1)))
+    assert config.validate() == [
+        "repeated p_d level 0.5", "repeated p_detect level 0.2",
+        "repeated strategy nhelp=1"]
+
+
 def test_run_seed_stable_and_distinct():
     assert derive_run_seed(1, "a", 0) == derive_run_seed(1, "a", 0)
     assert derive_run_seed(1, "a", 0) != derive_run_seed(1, "a", 1)

@@ -9,7 +9,7 @@ from conftest import bfs_oracle
 from ecqsim.grid import (
     DisconnectedMapError, MissingRoleError, Position, RaggedGridError,
     UnknownGlyphError, UnreachableError, line_of_sight, parse_map, ray_cells,
-    serialize_map, shortest_path,
+    shortest_path,
 )
 
 
@@ -60,16 +60,6 @@ def test_declared_home_absent_and_multiplicity():
         parse_map("#.#", {"h": ("home", "pwd_home")})
     with pytest.raises(MissingRoleError):
         parse_map("#hh#", {"h": ("home", "pwd_home")})
-
-
-def test_roundtrip_identity():
-    text = "##D##\n#...#\n#h.N#\n#####"
-    legend = {"D": ("dining", "appointment_site"), "h": ("home", "pwd_home"),
-              "N": ("base", "nurse_base")}
-    grid = parse_map(text, legend)
-    again = parse_map(serialize_map(grid), legend)
-    assert again.cells == grid.cells
-    assert again.locations == grid.locations
 
 
 # -- pathfinding -----------------------------------------------------------
@@ -253,7 +243,7 @@ def test_los_wall_blocks():
     # Straight corridor of length 4 with one wall cell between endpoints.
     grid = parse_map("..#..", {})
     a, b = Position(0, 0), Position(4, 0)
-    blocked = {Position(x, 0) for x in range(5) if grid.cell_at(Position(x, 0)) == "#"}
+    blocked = {Position(x, 0) for x in range(5) if grid.cells[x] == "#"}
     assert blocked & set(ray_cells(a, b))  # oracle: the ray passes the wall
     assert not line_of_sight(grid, a, b, 10)
 

@@ -2,7 +2,8 @@
 
 Each module may import only modules earlier in ``LAYERS``; the package
 ``__init__`` re-exports everything and is exempt, but every name it
-exports must resolve and be listed once.
+exports must resolve and be listed once.  Every public function and
+class is used by the package itself, not only by the tests.
 """
 
 import ast
@@ -16,10 +17,18 @@ LAYERS = ("grid", "events", "agents", "engine", "scenario", "metrics",
           "experiment", "cli")
 PACKAGE = Path(ecqsim.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+# Public names the package need not use, each with its reason.
+USED_BY_TESTS_ONLY = {
+    "shortest_path": "acceptance criterion C8 is stated in terms of it",
+}
+
+
+def parse(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
 
 
 def relative_imports(module: str) -> set[str]:
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    tree = parse(module)
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
@@ -45,3 +54,25 @@ def test_exports_resolve_once():
     assert len(set(names)) == len(names), "repeated names in __all__"
     missing = [name for name in names if not hasattr(ecqsim, name)]
     assert missing == []
+
+
+def test_every_public_name_is_used_by_the_package():
+    """A definition or ``__init__``'s re-export is not a use.
+
+    Uses are read from the syntax tree (names, attributes and imports),
+    so docstrings and comments do not count.
+    """
+    defined, used = set(), set()
+    for module in MODULES:
+        tree = parse(module)
+        defined.update(node.name for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       and not node.name.startswith("_"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert sorted(defined - used - set(USED_BY_TESTS_ONLY)) == []
