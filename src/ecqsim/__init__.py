@@ -22,25 +22,19 @@ from .experiment import (
     run_sweep,
 )
 from .grid import (
-    DisconnectedMapError, GridMap, MapError, MissingRoleError, Position,
-    RaggedGridError, UnknownGlyphError, UnreachableError, line_of_sight,
-    parse_map, shortest_path,
+    GridMap, MapError, Position, line_of_sight, parse_map, shortest_path,
 )
 from .metrics import MetricReport, autonomy, build_report, nurse_efficiency
-from .scenario import (
-    InsufficientSitesError, ScenarioTemplate, generate_schedule, load_scenario,
-)
+from .scenario import ScenarioTemplate, generate_schedule, load_scenario
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Aggregate", "Appointment", "DisconnectedMapError", "Event", "EventLog",
-    "GridMap", "InsufficientSitesError", "MapError", "MetricReport",
-    "MissingRoleError", "NurseAgent", "NurseConfig", "Position", "PwDAgent",
-    "PwDConfig", "RaggedGridError", "Scenario", "ScenarioError",
-    "ScenarioTemplate", "SmartWatch", "Strategy", "SweepConfig", "SweepRow",
-    "UnknownGlyphError", "UnreachableError", "WatchConfig", "aggregate",
-    "assign_calls", "autonomy", "build_report", "derive_stream",
+    "Aggregate", "Appointment", "Event", "EventLog", "GridMap", "MapError",
+    "MetricReport", "NurseAgent", "NurseConfig", "Position", "PwDAgent",
+    "PwDConfig", "Scenario", "ScenarioError", "ScenarioTemplate",
+    "SmartWatch", "Strategy", "SweepConfig", "SweepRow", "WatchConfig",
+    "aggregate", "assign_calls", "autonomy", "build_report", "derive_stream",
     "generate_schedule", "line_of_sight", "load_scenario", "nurse_efficiency",
     "nurse_step", "paper_strategies", "parse_map", "run_simulation",
     "run_sweep", "shortest_path", "watch_step",

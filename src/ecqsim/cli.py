@@ -8,7 +8,9 @@ Subcommands:
   demo      copy the bundled demo map and scenario into a directory
 
 Exit codes: 0 success, 2 validation or grid-spec failure, 3 I/O
-failure.  Diagnostics go to stderr, one per line, prefixed ``error:``.
+failure.  Commands raise their failures; ``main`` alone maps every
+failure to its exit code and prints its diagnostics to stderr, one per
+line, prefixed ``error:``.
 Seed precedence: scenario file < ECQ_SEED environment variable <
 --seed flag.
 """
@@ -38,28 +40,11 @@ EXIT_INVALID = 2
 EXIT_IO = 3
 
 
-def _fail(messages: list[str] | str, code: int) -> int:
-    if isinstance(messages, str):
-        messages = [messages]
-    for message in messages:
-        print(f"error: {message}", file=sys.stderr)
-    return code
+class _Failure(Exception):
+    """Raised with ``(messages, code)``: ``main`` prints the lines, returns the code."""
 
 
-def _load(path: str) -> ScenarioTemplate | int:
-    try:
-        return load_scenario(path)
-    except FileNotFoundError as exc:
-        return _fail(f"cannot read {exc.filename}", EXIT_IO)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
-    except ScenarioError as exc:
-        return _fail(exc.problems, EXIT_INVALID)
-    except yaml.YAMLError as exc:
-        return _fail("bad scenario file: " + " ".join(str(exc).split()), EXIT_INVALID)
-
-
-def _write_all(outputs: list[tuple[str, str]]) -> int:
+def _write_all(outputs: list[tuple[str, str]]) -> None:
     """Write each ``(path, text)`` to a temporary file, then rename them all.
 
     A failed write leaves every target as it was and no temporary file
@@ -76,11 +61,10 @@ def _write_all(outputs: list[tuple[str, str]]) -> int:
     except OSError as exc:
         for temp in temps:
             temp.unlink(missing_ok=True)
-        return _fail(f"cannot write {path}: {exc.strerror or exc}", EXIT_IO)
-    return EXIT_OK
+        raise _Failure([f"cannot write {path}: {exc.strerror or exc}"], EXIT_IO) from exc
 
 
-def _pick_seed(loaded: ScenarioTemplate, flag_seed: int | None) -> int:
+def _pick_seed(template: ScenarioTemplate, flag_seed: int | None) -> int:
     if flag_seed is not None:
         return flag_seed
     env = os.environ.get("ECQ_SEED")
@@ -89,43 +73,47 @@ def _pick_seed(loaded: ScenarioTemplate, flag_seed: int | None) -> int:
             return int(env)
         except ValueError:
             raise ScenarioError([f"ECQ_SEED is not an integer: {env!r}"])
-    return loaded.seed
+    return template.seed
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    loaded = _load(args.scenario)
-    if isinstance(loaded, int):
-        return loaded
-    grid = loaded.grid
+    template = load_scenario(args.scenario)
+    grid = template.grid
     print(f"OK {args.scenario}")
     print(f"map {grid.width}x{grid.height}, {len(grid.locations)} locations")
     for role in ROLES:
         labels = grid.labels_with_role(role)
         if labels:
             print(f"{role}: {' '.join(labels)}")
-    print(f"pwds {len(loaded.pwds)}, nurses {len(loaded.nurses)}, "
-          f"horizon {loaded.horizon}, seed {loaded.seed}")
+    print(f"pwds {len(template.pwds)}, nurses {len(template.nurses)}, "
+          f"horizon {template.horizon}, seed {template.seed}")
     return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    loaded = _load(args.scenario)
-    if isinstance(loaded, int):
-        return loaded
-    try:
-        seed = _pick_seed(loaded, args.seed)
-    except ScenarioError as exc:
-        return _fail(exc.problems, EXIT_INVALID)
-    log = run_simulation(loaded.scenario(seed))
-    report = build_report(log)
-    text = report.to_text(seed=seed)
+    template = load_scenario(args.scenario)
+    seed = _pick_seed(template, args.seed)
+    log = run_simulation(template.scenario(seed))
+    text = build_report(log).to_text(seed=seed)
     outputs = [(args.out, log.to_text())] if args.out else []
     if args.report:
         outputs.append((args.report, text))
-    code = _write_all(outputs)
-    if code == EXIT_OK:
-        print(text, end="")
-    return code
+    _write_all(outputs)
+    print(text, end="")
+    return EXIT_OK
+
+
+def _parse_prob(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise ValueError(f"bad probability {token!r}") from None
+
+
+# Each --grid key: the SweepConfig axis it sets and the parser of its values.
+_GRID_KEYS = {"p_d": ("p_d_levels", _parse_prob),
+              "p_detect": ("p_detect_levels", _parse_prob),
+              "strategy": ("strategies", Strategy.parse)}
 
 
 def _parse_grid_spec(spec: str) -> dict[str, tuple]:
@@ -139,61 +127,42 @@ def _parse_grid_spec(spec: str) -> dict[str, tuple]:
         tokens = [t for t in values.split(",") if t]
         if not sep or not tokens:
             raise ValueError(f"bad grid entry {entry!r}")
-        if key == "p_d":
-            overrides["p_d_levels"] = tuple(_parse_prob(t) for t in tokens)
-        elif key == "p_detect":
-            overrides["p_detect_levels"] = tuple(_parse_prob(t) for t in tokens)
-        elif key == "strategy":
-            overrides["strategies"] = tuple(Strategy.parse(t) for t in tokens)
-        else:
+        if key not in _GRID_KEYS:
             raise ValueError(f"unknown grid key {key!r}")
+        axis, parse = _GRID_KEYS[key]
+        if axis in overrides:
+            raise ValueError(f"repeated grid key {key!r}")
+        overrides[axis] = tuple(parse(t) for t in tokens)
     return overrides
 
 
-def _parse_prob(token: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise ValueError(f"bad probability {token!r}") from None
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    loaded = _load(args.scenario)
-    if isinstance(loaded, int):
-        return loaded
-    try:
-        seed = _pick_seed(loaded, args.seed)
-    except ScenarioError as exc:
-        return _fail(exc.problems, EXIT_INVALID)
+    template = load_scenario(args.scenario)
+    seed = _pick_seed(template, args.seed)
     if not args.paper_grid and not args.grid:
-        return _fail("need --paper-grid and/or --grid", EXIT_INVALID)
-    overrides: dict[str, tuple] = {}
-    if args.grid:
-        try:
-            overrides = _parse_grid_spec(args.grid)
-        except ValueError as exc:
-            return _fail(str(exc), EXIT_INVALID)
+        raise _Failure(["need --paper-grid and/or --grid"], EXIT_INVALID)
+    try:
+        overrides = _parse_grid_spec(args.grid or "")
+    except ValueError as exc:
+        raise _Failure([str(exc)], EXIT_INVALID) from exc
 
     # With --paper-grid, axes not named in --grid keep SweepConfig's
     # defaults; without it, the scenario's own values.
     axes = overrides
     if not args.paper_grid:
-        roster_p_d = tuple(sorted({p.p_d for p in loaded.pwds}))
+        roster_p_d = tuple(sorted({p.p_d for p in template.pwds}))
         if "p_d_levels" not in overrides and len(roster_p_d) != 1:
-            return _fail("residents disagree on p_d; give p_d=... in --grid",
-                         EXIT_INVALID)
+            raise _Failure(["residents disagree on p_d; give p_d=... in --grid"],
+                           EXIT_INVALID)
         axes = {
             "p_d_levels": roster_p_d,
-            "p_detect_levels": (loaded.watch.p_detect,),
-            "strategies": (Strategy(True, loaded.watch.n_help)
-                           if loaded.watch.enabled else Strategy(False),),
+            "p_detect_levels": (template.watch.p_detect,),
+            "strategies": (Strategy(True, template.watch.n_help)
+                           if template.watch.enabled else Strategy(False),),
         }
         axes.update(overrides)
-    config = SweepConfig(template=loaded, replications=args.reps,
+    config = SweepConfig(template=template, replications=args.reps,
                          base_seed=seed, **axes)
-    problems = config.validate()
-    if problems:
-        return _fail(problems, EXIT_INVALID)
 
     started = time.monotonic()
     last_shown = -1
@@ -206,10 +175,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(f"progress {done}/{total_runs}", file=sys.stderr)
 
     rows = run_sweep(config, jobs=args.jobs, progress=progress)
-    code = _write_all([(args.out, rows_to_csv(rows)),
-                       (args.aggregate, aggregates_to_csv(aggregate(rows)))])
-    if code != EXIT_OK:
-        return code
+    _write_all([(args.out, rows_to_csv(rows)),
+                (args.aggregate, aggregates_to_csv(aggregate(rows)))])
     elapsed = time.monotonic() - started
     # The last progress call always shows done == total, so last_shown counts the runs.
     print(f"{last_shown} runs in {elapsed:.1f}s -> {args.out}, {args.aggregate}",
@@ -219,13 +186,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_demo(args: argparse.Namespace) -> int:
     dest = Path(args.dir)
-    try:
-        dest.mkdir(parents=True, exist_ok=True)
-        for name in ("demo_map.txt", "demo_scenario.yaml"):
-            data = resources.files("ecqsim.data").joinpath(name).read_text("utf-8")
-            (dest / name).write_text(data, encoding="utf-8", newline="\n")
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
+    dest.mkdir(parents=True, exist_ok=True)
+    for name in ("demo_map.txt", "demo_scenario.yaml"):
+        data = resources.files("ecqsim.data").joinpath(name).read_text("utf-8")
+        (dest / name).write_text(data, encoding="utf-8", newline="\n")
     print(f"wrote {dest / 'demo_scenario.yaml'}")
     return EXIT_OK
 
@@ -268,8 +232,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; every failure it raises becomes ``error:`` lines."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Failure as exc:
+        messages, code = exc.args
+    except ScenarioError as exc:
+        messages, code = exc.problems, EXIT_INVALID
+    except yaml.YAMLError as exc:
+        messages = ["bad scenario file: " + " ".join(str(exc).split())]
+        code = EXIT_INVALID
+    except FileNotFoundError as exc:
+        messages, code = [f"cannot read {exc.filename}"], EXIT_IO
+    except OSError as exc:
+        messages, code = [str(exc)], EXIT_IO
+    for message in messages:
+        print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

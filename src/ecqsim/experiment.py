@@ -21,7 +21,7 @@ from functools import partial
 from statistics import mean, stdev
 from typing import Callable, Iterator
 
-from .engine import Scenario, WatchConfig, run_simulation
+from .engine import Scenario, ScenarioError, WatchConfig, run_simulation
 from .metrics import MetricReport, build_report
 from .scenario import ScenarioTemplate, build_run
 
@@ -51,7 +51,7 @@ class Strategy:
             return cls(watch=False)
         if token.startswith("nhelp="):
             value = token[len("nhelp="):]
-            if value.isdigit():
+            if value.isascii() and value.isdigit():
                 return cls(watch=True, n_help=int(value))
         raise ValueError(f"bad strategy token {token!r}")
 
@@ -214,10 +214,11 @@ def run_sweep(config: SweepConfig, jobs: int = 1,
 
     ``jobs`` > 1 distributes runs over worker processes; the output is
     byte-identical either way because rows are sorted afterwards.
+    Raises ScenarioError, before any run, if the config is invalid.
     """
     problems = config.validate()
     if problems:
-        raise ValueError("; ".join(problems))
+        raise ScenarioError(problems)
     coords = list(iter_coords(config))
     rows: list[SweepRow] = []
     with contextlib.ExitStack() as stack:

@@ -17,8 +17,8 @@ never change observable results.  A step walks the same neighbour table
 to the first neighbour one level closer, so ties break in that fixed
 order.  A query whose distance is already known reads the cached field
 directly; every other query goes through one method that creates or
-grows the field and raises UnreachableError when the origin is cut off
-from the target.
+grows the field and raises MapError when the origin is cut off from the
+target.  MapError is the one error type, for bad plans and bad queries.
 """
 
 from __future__ import annotations
@@ -40,27 +40,7 @@ _LABEL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]*$")
 
 
 class MapError(ValueError):
-    """Base class for floor-plan validation failures."""
-
-
-class RaggedGridError(MapError):
-    """Map lines are not all the same length."""
-
-
-class UnknownGlyphError(MapError):
-    """Map contains a character that is neither reserved nor in the legend."""
-
-
-class DisconnectedMapError(MapError):
-    """Labeled cells are not mutually reachable over floor cells."""
-
-
-class MissingRoleError(MapError):
-    """A role requirement on labeled cells is violated."""
-
-
-class UnreachableError(ValueError):
-    """No path exists between the queried positions."""
+    """A floor plan is invalid, or a queried position is off it or cut off."""
 
 
 class Position(NamedTuple):
@@ -112,16 +92,16 @@ class GridMap:
             placed = self.locations.get(label, ())
             if role == ROLE_PWD_HOME:
                 if not placed:
-                    raise MissingRoleError(f"pwd_home label {label!r} is not on the map")
+                    raise MapError(f"pwd_home label {label!r} is not on the map")
                 if len(placed) != 1:
-                    raise MissingRoleError(
+                    raise MapError(
                         f"pwd_home label {label!r} must cover exactly one cell, found {len(placed)}")
         labeled = [p for cells_ in self.locations.values() for p in cells_]
         if labeled:
             field = self._new_field([labeled[0].y * self.width + labeled[0].x])
             for p in labeled:
                 if self._bfs(field, p.y * self.width + p.x) < 0:
-                    raise DisconnectedMapError(
+                    raise MapError(
                         f"labeled cell at ({p.x},{p.y}) is unreachable from other labeled cells")
 
     # -- basic queries -------------------------------------------------
@@ -203,8 +183,8 @@ class GridMap:
         """The field toward cell index or label ``key``, grown to cell ``i``.
 
         Every query whose distance is not yet known comes here; a hit
-        reads the cached field directly.  Raises UnreachableError when
-        ``i`` is cut off.
+        reads the cached field directly.  Raises MapError, naming both
+        ends, when ``i`` is cut off.
         """
         field = self._fields.get(key)
         if field is None:
@@ -214,7 +194,7 @@ class GridMap:
         if self._bfs(field, i) < 0:
             w = self.width
             to = f"label {key!r}" if isinstance(key, str) else f"({key % w},{key // w})"
-            raise UnreachableError(f"no path from ({i % w},{i // w}) to {to}")
+            raise MapError(f"no path from ({i % w},{i // w}) to {to}")
         return field
 
     def _descend(self, key: int | str, pos: Position) -> Position:
@@ -244,7 +224,7 @@ class GridMap:
         return field[0][i]
 
     def distance(self, origin: Position, target: Position) -> int:
-        """Shortest 4-connected path length in steps, or raise Unreachable."""
+        """Shortest 4-connected path length in steps; MapError if none."""
         return self._distance(target.y * self.width + target.x, origin)
 
     def label_distance(self, origin: Position, label: str) -> int:
@@ -299,7 +279,7 @@ def parse_map(text: str, legend: dict[str, tuple[str, str]] | None = None) -> Gr
     width = len(lines[0])
     for line in lines:
         if len(line) != width:
-            raise RaggedGridError(
+            raise MapError(
                 f"line length {len(line)} differs from first line length {width}")
 
     cells: list[str] = []
@@ -313,7 +293,7 @@ def parse_map(text: str, legend: dict[str, tuple[str, str]] | None = None) -> Gr
                 cells.append(label)
                 roles[label] = role
             else:
-                raise UnknownGlyphError(f"glyph {ch!r} not in legend or reserved set")
+                raise MapError(f"glyph {ch!r} not in legend or reserved set")
 
     # Declared labels keep their role even when unplaced; GridMap checks
     # that every pwd_home is placed.

@@ -30,10 +30,6 @@ DEFAULT_APPOINTMENTS = 6
 DEFAULT_APPOINTMENT_DURATION = 30
 
 
-class InsufficientSitesError(ValueError):
-    """The map has fewer appointment sites than a schedule needs."""
-
-
 @dataclass
 class ScenarioTemplate:
     """Everything a sweep holds fixed: the map, the rosters, the clock.
@@ -65,20 +61,24 @@ def generate_schedule(grid: GridMap, pwd_id: str, base_seed: int,
 
     The stream is keyed by (base_seed, resident, replication) only, so
     schedules match across strategies and probability levels within a
-    replication.
+    replication.  Raises ScenarioError when the map has too few sites.
     """
     sites = grid.labels_with_role(ROLE_APPOINTMENT_SITE)
     if len(sites) < count:
-        raise InsufficientSitesError(
-            f"map offers {len(sites)} appointment sites, need {count}")
+        raise ScenarioError([f"map offers {len(sites)} appointment sites, need {count}"])
     rng = derive_stream(base_seed, pwd_id, f"schedule.{replication}")
     chosen = rng.sample(sites, count)
-    spacing = horizon // (count + 1)
-    jitter = spacing // 10
+    spacing, jitter = _spread(horizon, count)
     starts = sorted((i + 1) * spacing + (rng.randint(-jitter, jitter) if jitter else 0)
                     for i in range(count))
     return [Appointment(location, start, duration)
             for location, start in zip(chosen, starts)]
+
+
+def _spread(horizon: int, count: int) -> tuple[int, int]:
+    """The spacing of drawn starts, and the most a start moves off its slot."""
+    spacing = horizon // (count + 1)
+    return spacing, spacing // 10
 
 
 def build_run(template: ScenarioTemplate, *, schedule_seed: int,
@@ -249,13 +249,23 @@ def load_scenario(path: str | Path) -> ScenarioTemplate:
     if template.appointment_duration < 0:
         problems.append("appointment_duration must be >= 0")
 
+    # A drawn schedule needs distinct sites, and a duration that fits every draw.
+    count, horizon = template.appointments_per_pwd, template.horizon
+    if not problems and count and not all(cfg.schedule for cfg in pwds):
+        sites = len(grid.labels_with_role(ROLE_APPOINTMENT_SITE))
+        if sites < count:
+            problems.append(f"map offers {sites} appointment sites, need {count}")
+        spacing, jitter = _spread(horizon, count)
+        room = horizon - count * spacing - jitter  # the last start at its latest
+        if count >= 2:  # two neighbours jittered toward each other
+            room = min(room, spacing - 2 * jitter)
+        if template.appointment_duration > room:
+            problems.append(f"appointment_duration must be <= {room} for "
+                            f"{count} drawn appointments in horizon {horizon}")
+
     # Semantic validation via a trial materialization.
     if not problems:
-        try:
-            trial = template.scenario()
-            problems.extend(trial.validate())
-        except InsufficientSitesError as exc:
-            problems.append(str(exc))
+        problems.extend(template.scenario().validate())
     if problems:
         raise ScenarioError(problems)
     return template

@@ -108,6 +108,17 @@ def test_validate_negative_schedule_value(tmp_path, capsys, overrides, line):
     assert capsys.readouterr().err.splitlines() == [line]
 
 
+def test_validate_rejects_duration_some_seed_cannot_fit(tmp_path, capsys):
+    # 6 drawn appointments in 10000 ticks start 1428 apart, each moved by
+    # up to 142, so two neighbours can come within 1144 of each other.
+    path = write_demo(tmp_path, appointment_duration=1250, seed=20260811)
+    line = ("error: appointment_duration must be <= 1144 "
+            "for 6 drawn appointments in horizon 10000")
+    for args in (["validate", str(path)], ["run", str(path), "--seed", "3"]):
+        assert main(args) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+
+
 def test_validate_nan_radius(tmp_path, capsys):
     path = write_demo(tmp_path)
     raw = yaml.safe_load(path.read_text())
@@ -300,8 +311,10 @@ def test_sweep_requires_grid_choice(tmp_path, capsys):
     ("p_d=0.5,0.5;p_detect=0.5;strategy=nhelp=1", "repeated p_d level 0.5"),
     ("p_d=0.5;p_detect=0.5,0.50;strategy=nhelp=1", "repeated p_detect level 0.5"),
     ("p_d=0.5;p_detect=0.5;strategy=nhelp=1,nhelp=01", "repeated strategy nhelp=1"),
+    ("p_d=0.5;p_d=0.25;strategy=nowatch", "repeated grid key 'p_d'"),
+    ("strategy=nhelp=\u00b2", "bad strategy token 'nhelp=\u00b2'"),
 ], ids=["p_d-range", "p_detect-nan", "repeated-p_d", "repeated-p_detect",
-        "repeated-strategy"])
+        "repeated-strategy", "repeated-key", "non-ascii-digit"])
 def test_sweep_rejects_bad_grid_value(tmp_path, capsys, grid, line):
     path = small_demo(tmp_path)
     capsys.readouterr()
@@ -319,6 +332,14 @@ def test_sweep_rejects_bad_grid_token(tmp_path, capsys):
     assert "'zz'" in capsys.readouterr().err
     assert main(["sweep", str(path), "--grid", "strategy=warp"]) == 2
     assert "'warp'" in capsys.readouterr().err
+
+
+def test_demo_below_a_regular_file_is_io_error(tmp_path, capsys):
+    (tmp_path / "plain").write_text("")
+    assert main(["demo", str(tmp_path / "plain" / "demo")]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_demo_round_trip(tmp_path, capsys):

@@ -3,15 +3,17 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import corridor_grid
 
+from ecqsim.engine import ScenarioError
 from ecqsim.experiment import (
     Strategy, SweepConfig, SweepRow, aggregate, aggregates_to_csv,
     derive_run_seed, iter_coords, paper_strategies, rows_to_csv, run_sweep,
     scenario_for,
 )
-from ecqsim.scenario import InsufficientSitesError, generate_schedule
+from ecqsim.scenario import generate_schedule
 
 
 def small_config(demo_loaded, **overrides):
@@ -113,9 +115,29 @@ def test_generated_schedule_shape(demo_loaded):
     assert generate_schedule(grid, "P1", 7, 0, 6, 30, 10_000) == schedule
 
 
+@settings(max_examples=300, deadline=None)
+@given(horizon=st.integers(1, 20_000), count=st.integers(1, 8),
+       seed=st.integers(0, 2**64), replication=st.integers(0, 10**6), data=st.data())
+def test_schedules_within_the_duration_bound_validate(demo_loaded, horizon, count,
+                                                       seed, replication, data):
+    """Any duration load_scenario accepts fits every draw: no overlap, no overrun."""
+    spacing = horizon // (count + 1)
+    jitter = spacing // 10
+    bound = horizon - count * spacing - jitter
+    if count >= 2:
+        bound = min(bound, spacing - 2 * jitter)
+    assume(bound >= 0)
+    duration = data.draw(st.integers(0, bound), label="duration")
+    schedule = generate_schedule(demo_loaded.grid, "P1", seed, replication,
+                                 count, duration, horizon)
+    scenario = replace(demo_loaded.scenario(), horizon=horizon,
+                       pwds=[replace(demo_loaded.pwds[0], schedule=schedule)])
+    assert scenario.validate() == []
+
+
 def test_insufficient_sites():
     grid = corridor_grid(5)  # single appointment site
-    with pytest.raises(InsufficientSitesError):
+    with pytest.raises(ScenarioError, match="appointment sites"):
         generate_schedule(grid, "P1", 7, 0, 6, 30, 10_000)
 
 

@@ -3,10 +3,12 @@
 Each module may import only modules earlier in ``LAYERS``; the package
 ``__init__`` re-exports everything and is exempt, but every name it
 exports must resolve and be listed once.  Every public function and
-class is used by the package itself, not only by the tests.
+class is used by the package itself, not only by the tests, and every
+exception class is caught by name somewhere in the package.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -76,3 +78,24 @@ def test_every_public_name_is_used_by_the_package():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     assert sorted(defined - used - set(USED_BY_TESTS_ONLY)) == []
+
+
+def test_every_exception_is_caught_by_name():
+    """An error type that no handler names is one only the tests tell apart.
+
+    Handlers are read from the syntax tree; a tuple handler counts each
+    name in it.
+    """
+    defined, caught = set(), set()
+    for module in MODULES:
+        namespace = vars(importlib.import_module(f"ecqsim.{module}"))
+        defined.update(name for name, obj in namespace.items()
+                       if isinstance(obj, type) and issubclass(obj, BaseException)
+                       and obj.__module__ == f"ecqsim.{module}")
+        for node in ast.walk(parse(module)):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) \
+                    else [node.type]
+                caught.update(ast.unparse(t).rpartition(".")[2] for t in types)
+    assert defined, "no exception classes found"
+    assert sorted(defined - caught) == []
