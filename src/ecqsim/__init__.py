@@ -9,13 +9,10 @@ strategies over seeded replications.
 """
 
 from .agents import (
-    Appointment, NurseAgent, PwDAgent, SmartWatch, assign_calls, nurse_step,
-    watch_step,
+    Appointment, NurseAgent, NurseConfig, PwDAgent, PwDConfig, SmartWatch,
+    WatchConfig, assign_calls, nurse_step, watch_step,
 )
-from .engine import (
-    NurseConfig, PwDConfig, Scenario, ScenarioError, WatchConfig,
-    derive_stream, run_simulation,
-)
+from .engine import Scenario, ScenarioError, derive_stream, run_simulation
 from .events import Event, EventLog
 from .experiment import (
     Aggregate, Strategy, SweepConfig, SweepRow, aggregate, paper_strategies,

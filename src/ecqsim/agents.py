@@ -1,4 +1,8 @@
-"""Agent state machines: resident (PwD), smart-watch, and nurse.
+"""Agent configurations and state machines: resident (PwD), smart-watch, nurse.
+
+``PwDConfig``, ``WatchConfig`` and ``NurseConfig`` hold what a scenario
+sets.  Each agent class extends its config with the state of one run, so
+a parameter is declared once and read as a direct attribute.
 
 Each agent is a mutable state machine advanced once per tick by the
 engine, in a fixed phase order:
@@ -33,6 +37,8 @@ from .grid import GridMap, Position, line_of_sight
 FALSE_GOAL_PERIOD = 20
 # Ticks an enabled watch waits before reminding about a missed departure.
 REMINDER_DELAY = 10
+DEFAULT_RADIUS = 5.0
+DEFAULT_P_NOISE = 0.1
 
 WATCH_DORMANT, WATCH_INTERVENING, WATCH_AWAITING_NURSE = range(3)
 
@@ -66,11 +72,33 @@ class PwDStreams:
 
 
 @dataclass(slots=True)
-class SmartWatch:
-    enabled: bool
-    p_detect: float
-    n_help: int
-    intervention_interval: int
+class PwDConfig:
+    id: str
+    home: str
+    schedule: list[Appointment] = field(default_factory=list)
+    p_d: float = 0.0
+    p_i: float = 0.2
+    p_noise: float = DEFAULT_P_NOISE
+    p_forget: float = 0.0
+
+
+@dataclass(slots=True)
+class WatchConfig:
+    enabled: bool = True
+    p_detect: float = 0.5
+    n_help: int = 1
+    intervention_interval: int = 1
+
+
+@dataclass(slots=True)
+class NurseConfig:
+    id: str
+    base: str
+    radius: float = DEFAULT_RADIUS
+
+
+@dataclass(slots=True, kw_only=True)
+class SmartWatch(WatchConfig):
     detect_rng: random.Random
     intervene_rng: random.Random
     phase: int = WATCH_DORMANT
@@ -82,15 +110,8 @@ class SmartWatch:
         self.fail_count = 0
 
 
-@dataclass(slots=True)
-class PwDAgent:
-    id: str
-    home: str
-    schedule: list[Appointment]
-    p_d: float
-    p_i: float
-    p_noise: float
-    p_forget: float
+@dataclass(slots=True, kw_only=True)
+class PwDAgent(PwDConfig):
     position: Position
     streams: PwDStreams
     watch: SmartWatch  # disabled when the scenario has no watch
@@ -112,11 +133,8 @@ class PwDAgent:
     nurse: NurseAgent | None = field(default=None, repr=False, compare=False)
 
 
-@dataclass(slots=True)
-class NurseAgent:
-    id: str
-    base: str
-    radius: float
+@dataclass(slots=True, kw_only=True)
+class NurseAgent(NurseConfig):
     position: Position
     state: int = NURSE_INACTIVE
     target: PwDAgent | None = field(default=None, repr=False, compare=False)
@@ -166,12 +184,10 @@ def _reorient(pwd: PwDAgent) -> None:
     pwd.watch.reset()
 
 
-def _sample_false_goal(pwd: PwDAgent, grid: GridMap, true_goal: str) -> str | None:
+def _sample_false_goal(pwd: PwDAgent, grid: GridMap, true_goal: str) -> str:
     candidates = [label for label in pwd.site_labels if label != true_goal]
     if not candidates:
         candidates = [label for label in sorted(grid.locations) if label != true_goal]
-    if not candidates:
-        return None
     return candidates[pwd.streams.false_goal.randrange(len(candidates))]
 
 
@@ -220,16 +236,14 @@ def pwd_begin_tick(pwd: PwDAgent, grid: GridMap, tick: int,
 
     if pwd.mode == PWD_TRAVELING and not pwd.disoriented and pwd.p_d > 0:
         if pwd.streams.disorient.random() < pwd.p_d:
-            false_goal = _sample_false_goal(pwd, grid, pwd.trip.goal)
-            if false_goal is not None:
-                pwd.episode_seq += 1
-                pwd.episode = f"{pwd.id}.e{pwd.episode_seq}"
-                pwd.disoriented = True
-                pwd.false_goal = false_goal
-                pwd.resample_tick = tick + FALSE_GOAL_PERIOD
-                events.append(Event(tick, "A", DISORIENTATION_START, pwd.id, {
-                    "episode": pwd.episode, "trip": pwd.trip.trip_id,
-                    "false_goal": false_goal, "pos": _pos_str(pwd.position)}))
+            pwd.episode_seq += 1
+            pwd.episode = f"{pwd.id}.e{pwd.episode_seq}"
+            pwd.disoriented = True
+            pwd.false_goal = _sample_false_goal(pwd, grid, pwd.trip.goal)
+            pwd.resample_tick = tick + FALSE_GOAL_PERIOD
+            events.append(Event(tick, "A", DISORIENTATION_START, pwd.id, {
+                "episode": pwd.episode, "trip": pwd.trip.trip_id,
+                "false_goal": pwd.false_goal, "pos": _pos_str(pwd.position)}))
 
 
 def pwd_move(pwd: PwDAgent, grid: GridMap, tick: int,
@@ -238,9 +252,7 @@ def pwd_move(pwd: PwDAgent, grid: GridMap, tick: int,
     if pwd.mode != PWD_TRAVELING or pwd.moved_tick == tick:
         return
     if pwd.disoriented and tick >= pwd.resample_tick:
-        resampled = _sample_false_goal(pwd, grid, pwd.trip.goal)
-        if resampled is not None:
-            pwd.false_goal = resampled
+        pwd.false_goal = _sample_false_goal(pwd, grid, pwd.trip.goal)
         pwd.resample_tick = tick + FALSE_GOAL_PERIOD
     if pwd.p_noise > 0 and pwd.streams.noise.random() < pwd.p_noise:
         return

@@ -1,4 +1,8 @@
-"""Discrete-time scheduler: advances the world tick by tick.
+"""The runnable scenario, its validation, and the tick loop that runs it.
+
+``Scenario`` gathers the map, the agent configs, the horizon and the
+seed; ``run_simulation`` validates it, builds one agent per config, and
+advances the world tick by tick.
 
 A run is a pure function of (scenario, seed).  Randomness comes from
 counter-style substreams derived per (seed, agent, purpose), so adding
@@ -27,12 +31,12 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .agents import (
-    REMINDER_DELAY, Appointment, NurseAgent, PwDAgent, PwDStreams,
-    SmartWatch, WorldContext, assign_calls, nurse_step, pwd_begin_tick,
-    pwd_move, watch_step,
+    REMINDER_DELAY, NurseAgent, NurseConfig, PwDAgent, PwDConfig, PwDStreams,
+    SmartWatch, WatchConfig, WorldContext, assign_calls, nurse_step,
+    pwd_begin_tick, pwd_move, watch_step,
 )
 from .events import (
     NURSE_INACTIVE, PWD_AT_APPOINTMENT, PWD_GUIDED, PWD_TRAVELING, EventLog,
@@ -40,8 +44,6 @@ from .events import (
 from .grid import ROLE_APPOINTMENT_SITE, ROLE_NURSE_BASE, ROLE_PWD_HOME, GridMap
 
 DEFAULT_HORIZON = 10_000
-DEFAULT_RADIUS = 5.0
-DEFAULT_P_NOISE = 0.1
 
 
 class ScenarioError(ValueError):
@@ -61,32 +63,6 @@ def derive_stream(seed: int, agent_id: str, purpose: str) -> random.Random:
     key = f"{seed}\x1f{agent_id}\x1f{purpose}".encode()
     digest = hashlib.sha256(key).digest()
     return random.Random(int.from_bytes(digest[:16], "big"))
-
-
-@dataclass
-class PwDConfig:
-    id: str
-    home: str
-    schedule: list[Appointment] = field(default_factory=list)
-    p_d: float = 0.0
-    p_i: float = 0.2
-    p_noise: float = DEFAULT_P_NOISE
-    p_forget: float = 0.0
-
-
-@dataclass
-class WatchConfig:
-    enabled: bool = True
-    p_detect: float = 0.5
-    n_help: int = 1
-    intervention_interval: int = 1
-
-
-@dataclass
-class NurseConfig:
-    id: str
-    base: str
-    radius: float = DEFAULT_RADIUS
 
 
 @dataclass
@@ -146,11 +122,16 @@ class Scenario:
         return problems
 
 
+def _config_fields(cfg) -> dict:
+    """``cfg``'s fields as keywords, for the agent class that extends its class."""
+    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+
+
 def _build_agents(scenario: Scenario) -> tuple[list[PwDAgent], list[NurseAgent]]:
     grid = scenario.grid
     seed = scenario.seed
     sites = tuple(grid.labels_with_role(ROLE_APPOINTMENT_SITE))
-    wcfg = scenario.watch
+    watch_fields = _config_fields(scenario.watch)
 
     pwds: list[PwDAgent] = []
     for cfg in sorted(scenario.pwds, key=lambda c: c.id):
@@ -161,18 +142,13 @@ def _build_agents(scenario: Scenario) -> tuple[list[PwDAgent], list[NurseAgent]]
             forget=derive_stream(seed, cfg.id, "forget"),
         )
         watch = SmartWatch(
-            enabled=wcfg.enabled, p_detect=wcfg.p_detect, n_help=wcfg.n_help,
-            intervention_interval=wcfg.intervention_interval,
+            **watch_fields,
             detect_rng=derive_stream(seed, cfg.id, "detect"),
             intervene_rng=derive_stream(seed, cfg.id, "intervene"),
         )
-        pwd = PwDAgent(
-            id=cfg.id, home=cfg.home, schedule=list(cfg.schedule),
-            p_d=cfg.p_d, p_i=cfg.p_i, p_noise=cfg.p_noise,
-            p_forget=cfg.p_forget, position=grid.only_cell(cfg.home),
-            streams=streams, site_labels=sites, watch=watch,
-        )
-        pwds.append(pwd)
+        pwds.append(PwDAgent(
+            **_config_fields(cfg), position=grid.only_cell(cfg.home),
+            streams=streams, site_labels=sites, watch=watch))
 
     nurses: list[NurseAgent] = []
     base_counts: dict[str, int] = {}
@@ -180,7 +156,7 @@ def _build_agents(scenario: Scenario) -> tuple[list[PwDAgent], list[NurseAgent]]
         cells = grid.cells_of(cfg.base)
         k = base_counts.get(cfg.base, 0)
         base_counts[cfg.base] = k + 1
-        nurses.append(NurseAgent(id=cfg.id, base=cfg.base, radius=cfg.radius,
+        nurses.append(NurseAgent(**_config_fields(cfg),
                                  position=cells[k % len(cells)]))
     return pwds, nurses
 

@@ -103,19 +103,15 @@ class SweepCoords:
 
 @dataclass(frozen=True)
 class SweepRow:
-    config_id: str
-    replication: int
-    seed: int
-    p_d: float
-    p_detect: float
-    strategy: str
+    coords: SweepCoords  # shared by every row of its run
     agent: str
     metric: str
     value: float
 
     def to_csv(self) -> str:
-        return (f"{self.config_id},{self.replication},{self.seed},"
-                f"{self.p_d:g},{self.p_detect:g},{self.strategy},"
+        c = self.coords
+        return (f"{c.config_id},{c.replication},{c.seed},"
+                f"{c.p_d:g},{c.p_detect:g},{c.strategy.label()},"
                 f"{self.agent},{self.metric},{self.value:.2f}")
 
 
@@ -172,22 +168,13 @@ def scenario_for(config: SweepConfig, coords: SweepCoords) -> Scenario:
 
 
 def rows_for_run(coords: SweepCoords, report: MetricReport) -> list[SweepRow]:
-    rows = []
-
-    def add(agent: str, metric: str, value: float) -> None:
-        rows.append(SweepRow(
-            config_id=coords.config_id, replication=coords.replication,
-            seed=coords.seed, p_d=coords.p_d, p_detect=coords.p_detect,
-            strategy=coords.strategy.label(), agent=agent, metric=metric,
-            value=value))
-
-    for pwd_id, value in report.autonomy.items():
-        add(pwd_id, "autonomy", value)
-    for pwd_id, value in report.travel_efficiency.items():
-        if value is not None:
-            add(pwd_id, "travel_efficiency", value)
-    for nurse_id, value in report.efficiency.items():
-        add(nurse_id, "efficiency", value)
+    rows = [SweepRow(coords, pwd_id, "autonomy", value)
+            for pwd_id, value in report.autonomy.items()]
+    rows += [SweepRow(coords, pwd_id, "travel_efficiency", value)
+             for pwd_id, value in report.travel_efficiency.items()
+             if value is not None]
+    rows += [SweepRow(coords, nurse_id, "efficiency", value)
+             for nurse_id, value in report.efficiency.items()]
     return rows
 
 
@@ -233,7 +220,8 @@ def run_sweep(config: SweepConfig, jobs: int = 1,
             rows.extend(run_rows)
             if progress is not None:
                 progress(done, len(coords))
-    rows.sort(key=lambda r: (r.config_id, r.replication, r.agent, r.metric))
+    rows.sort(key=lambda r: (r.coords.config_id, r.coords.replication,
+                             r.agent, r.metric))
     return rows
 
 
@@ -241,7 +229,8 @@ def aggregate(rows: list[SweepRow]) -> list[Aggregate]:
     """Mean/std/count per configuration, per agent and pooled across agents."""
     groups: dict[tuple, list[float]] = {}
     for row in rows:
-        base = (row.p_d, row.p_detect, row.strategy, row.metric)
+        c = row.coords
+        base = (c.p_d, c.p_detect, c.strategy.label(), row.metric)
         groups.setdefault(base + (row.agent,), []).append(row.value)
         groups.setdefault(base + (POOLED_AGENT,), []).append(row.value)
     out = []

@@ -19,11 +19,8 @@ from pathlib import Path
 
 import yaml
 
-from .agents import Appointment
-from .engine import (
-    DEFAULT_HORIZON, NurseConfig, PwDConfig, Scenario, ScenarioError,
-    WatchConfig, derive_stream,
-)
+from .agents import Appointment, NurseConfig, PwDConfig, WatchConfig
+from .engine import DEFAULT_HORIZON, Scenario, ScenarioError, derive_stream
 from .grid import ROLE_APPOINTMENT_SITE, ROLES, GridMap, MapError, parse_map
 
 DEFAULT_APPOINTMENTS = 6
@@ -158,14 +155,18 @@ def _section(value, kind: type, name: str, problems: list[str]):
 def load_scenario(path: str | Path) -> ScenarioTemplate:
     """Parse and fully validate a scenario file.
 
-    Raises ScenarioError with every collected diagnostic, or OSError if
-    the scenario or map file cannot be read.
+    Raises ScenarioError with every collected diagnostic (a file that is
+    not UTF-8 is one), or OSError if the scenario or map file cannot be
+    read.
     """
     path = Path(path)
     # libyaml's loader when PyYAML was built with it; same result, faster.
     # Loading from the open file names it in syntax errors.
-    with path.open(encoding="utf-8") as stream:
-        raw = yaml.load(stream, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    try:
+        with path.open(encoding="utf-8") as stream:
+            raw = yaml.load(stream, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except UnicodeDecodeError as exc:
+        raise ScenarioError([f"{path} is not UTF-8 text"]) from exc
     problems: list[str] = []
     if not isinstance(raw, dict):
         raise ScenarioError(["scenario file must be a mapping"])
@@ -191,6 +192,8 @@ def load_scenario(path: str | Path) -> ScenarioTemplate:
         grid = parse_map(map_path.read_text(encoding="utf-8"), legend)
     except MapError as exc:
         raise ScenarioError(problems + [f"map: {exc}"]) from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(problems + [f"map: {map_path} is not UTF-8 text"]) from exc
 
     pwds: list[PwDConfig] = []
     rows = raw.get("pwd")

@@ -50,7 +50,8 @@ def trend_means(demo_loaded):
     elapsed = time.monotonic() - started
     values = defaultdict(list)
     for row in rows:
-        values[(row.p_d, row.strategy, row.metric)].append(row.value)
+        values[(row.coords.p_d, row.coords.strategy.label(), row.metric)].append(
+            row.value)
     means = {key: mean(vals) for key, vals in values.items()}
     means["elapsed"] = elapsed
     return means

@@ -5,7 +5,9 @@ import yaml
 
 from conftest import demo_scenario_path
 
+from ecqsim.agents import Appointment
 from ecqsim.cli import main
+from ecqsim.events import TRIP_START, EventLog
 from ecqsim.scenario import load_scenario
 
 
@@ -154,6 +156,72 @@ def test_validate_lists_every_problem_in_file_order(tmp_path, capsys):
         "error: horizon must be an integer, got 'long'",
         "error: seed must be an integer, got 1.5",
     ]
+
+
+def _without(key):
+    return lambda raw: {k: v for k, v in raw.items() if k != key}
+
+
+@pytest.mark.parametrize("edit, lines", [
+    (lambda raw: ["map", "legend"], ["scenario file must be a mapping"]),
+    (lambda raw: raw["legend"].update(Z={"label": "zed"}),
+     ["legend 'Z': need label and role"]),
+    (lambda raw: raw["legend"].update(Z={"label": "zed", "role": "kitchen"}),
+     ["legend 'Z': unknown role 'kitchen'"]),
+    (_without("map"), ["no map file given"]),
+    (_without("pwd"), ["no pwd roster"]),
+    (lambda raw: raw["pwd"].append({"id": "P6"}), ["pwd entry 5: need id and home"]),
+    (lambda raw: raw["pwd"][0].update(appointments=[{"location": "dining"}]),
+     ["pwd P1: appointment 0 needs location and start"]),
+    (_without("nurses"), ["no nurse roster"]),
+    (lambda raw: raw["nurses"].append({"base": "common"}),
+     ["nurse entry 3: need id and base"]),
+    (lambda raw: raw.update(appointments_per_pwd=9),
+     ["map offers 8 appointment sites, need 9"]),
+], ids=["not-a-mapping", "legend-no-role", "legend-unknown-role", "no-map",
+        "no-pwd-roster", "pwd-no-home", "appointment-no-start", "no-nurse-roster",
+        "nurse-no-id", "too-few-sites"])
+def test_validate_reports_structural_problem(tmp_path, capsys, edit, lines):
+    """``edit`` changes the demo's document in place or returns a new one."""
+    path = write_demo(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    doc = edit(raw)
+    path.write_text(yaml.safe_dump(raw if doc is None else doc))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {line}" for line in lines]
+
+
+def test_explicit_appointments_are_kept_and_run(tmp_path):
+    path = write_demo(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    raw["pwd"][0]["appointments"] = [
+        {"location": "clinic", "start": 120, "duration": 45},
+        {"location": "garden", "start": 2000}]
+    path.write_text(yaml.safe_dump(raw))
+    p1 = load_scenario(path).pwds[0]
+    assert p1.schedule == [Appointment("clinic", 120, 45),
+                           Appointment("garden", 2000, 30)]
+    log_path = tmp_path / "run.log"
+    assert main(["run", str(path), "--out", str(log_path)]) == 0
+    log = EventLog.from_text(log_path.read_text())
+    first = next(e for e in log.events if e.kind == TRIP_START and e.subject == "P1")
+    assert (first.tick, first.payload["goal"]) == (120, "clinic")
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+@pytest.mark.parametrize("damaged", ["scenario", "map"])
+def test_non_utf8_file_is_one_error_line(tmp_path, capsys, damaged, command):
+    path = write_demo(tmp_path)
+    target = path if damaged == "scenario" else tmp_path / "demo_map.txt"
+    target.write_bytes(b"; caf\xe9\n" + target.read_bytes())  # Latin-1, not UTF-8
+    capsys.readouterr()
+    extra = {"validate": [], "run": [],
+             "sweep": ["--grid", "p_d=0", "--reps", "1", "--jobs", "1",
+                       "--out", str(tmp_path / "rows.csv"),
+                       "--aggregate", str(tmp_path / "agg.csv")]}[command]
+    assert main([command, str(path)] + extra) == 2
+    name = path if damaged == "scenario" else f"map: {target.resolve()}"
+    assert capsys.readouterr().err.splitlines() == [f"error: {name} is not UTF-8 text"]
 
 
 def test_missing_file_is_io_error(tmp_path, capsys):
@@ -313,14 +381,37 @@ def test_sweep_requires_grid_choice(tmp_path, capsys):
     ("p_d=0.5;p_detect=0.5;strategy=nhelp=1,nhelp=01", "repeated strategy nhelp=1"),
     ("p_d=0.5;p_d=0.25;strategy=nowatch", "repeated grid key 'p_d'"),
     ("strategy=nhelp=\u00b2", "bad strategy token 'nhelp=\u00b2'"),
+    ("p_d", "bad grid entry 'p_d'"),
+    ("x=1", "unknown grid key 'x'"),
 ], ids=["p_d-range", "p_detect-nan", "repeated-p_d", "repeated-p_detect",
-        "repeated-strategy", "repeated-key", "non-ascii-digit"])
+        "repeated-strategy", "repeated-key", "non-ascii-digit", "no-values",
+        "unknown-key"])
 def test_sweep_rejects_bad_grid_value(tmp_path, capsys, grid, line):
     path = small_demo(tmp_path)
     capsys.readouterr()
     assert main(["sweep", str(path), "--grid", grid, "--reps", "2", "--jobs", "1",
                  "--out", str(tmp_path / "rows.csv"),
                  "--aggregate", str(tmp_path / "agg.csv")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "demo_map.txt", "demo_scenario.yaml"]
+
+
+@pytest.mark.parametrize("pwd_p_d, args, line", [
+    (None, ["--grid", "p_d=0", "--reps", "0"], "replications must be >= 1"),
+    ([0.25, 0.5], ["--grid", "strategy=nowatch", "--reps", "1"],
+     "residents disagree on p_d; give p_d=... in --grid"),
+], ids=["zero-reps", "residents-disagree"])
+def test_sweep_rejects_bad_run_count_or_roster(tmp_path, capsys, pwd_p_d, args, line):
+    path = small_demo(tmp_path)
+    if pwd_p_d:
+        raw = yaml.safe_load(path.read_text())
+        for row, p_d in zip(raw["pwd"], pwd_p_d):
+            row["p_d"] = p_d
+        path.write_text(yaml.safe_dump(raw))
+    capsys.readouterr()
+    assert main(["sweep", str(path), "--jobs", "1", "--out", str(tmp_path / "rows.csv"),
+                 "--aggregate", str(tmp_path / "agg.csv")] + args) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "demo_map.txt", "demo_scenario.yaml"]

@@ -278,6 +278,23 @@ def test_invalid_scenarios_rejected():
     with pytest.raises(ScenarioError, match="unique"):
         run_simulation(bad)
 
+    for pwd, watch, problem in [
+        (PwDConfig(id="P,1", home="home"), WatchConfig(),
+         "invalid agent id 'P,1'"),
+        (PwDConfig(id="P1", home="home", schedule=[Appointment("home", 0, 0)]),
+         WatchConfig(), "P1: appointment 0 site 'home' is not an appointment_site location"),
+        (PwDConfig(id="P1", home="home", schedule=[Appointment("site", 10, -5)]),
+         WatchConfig(), "P1: appointment 0 has negative duration"),
+        (PwDConfig(id="P1", home="home"), WatchConfig(n_help=-1),
+         "watch n_help must be >= 0"),
+        (PwDConfig(id="P1", home="home"), WatchConfig(intervention_interval=0),
+         "watch intervention_interval must be >= 1"),
+    ]:
+        with pytest.raises(ScenarioError) as caught:
+            run_simulation(Scenario(grid=grid, pwds=[pwd], watch=watch, horizon=100,
+                                    nurses=[NurseConfig(id="N1", base="base")]))
+        assert caught.value.problems == [problem]
+
 
 def test_appointment_must_fit_horizon():
     grid = corridor_grid(5, with_base=True)

@@ -9,7 +9,7 @@ from conftest import corridor_grid
 
 from ecqsim.engine import ScenarioError
 from ecqsim.experiment import (
-    Strategy, SweepConfig, SweepRow, aggregate, aggregates_to_csv,
+    Strategy, SweepConfig, SweepCoords, SweepRow, aggregate, aggregates_to_csv,
     derive_run_seed, iter_coords, paper_strategies, rows_to_csv, run_sweep,
     scenario_for,
 )
@@ -60,6 +60,7 @@ def test_sweep_config_rejects_repeated_values(demo_loaded):
     assert config.validate() == [
         "repeated p_d level 0.5", "repeated p_detect level 0.2",
         "repeated strategy nhelp=1"]
+    assert small_config(demo_loaded, p_d_levels=()).validate() == ["no p_d levels"]
 
 
 def test_run_seed_stable_and_distinct():
@@ -149,7 +150,8 @@ def test_row_accounting_and_determinism(demo_loaded):
     # Two replications of (5 autonomy + 5 TE + 3 efficiency) rows.
     assert len(rows) == 2 * (5 + 5 + 3)
     assert rows_to_csv(rows) == rows_to_csv(run_sweep(small_config(demo_loaded)))
-    order = [(r.config_id, r.replication, r.agent, r.metric) for r in rows]
+    order = [(r.coords.config_id, r.coords.replication, r.agent, r.metric)
+             for r in rows]
     assert order == sorted(order)
 
 
@@ -185,9 +187,9 @@ def test_csv_shapes(demo_loaded):
 # -- aggregation ----------------------------------------------------------------
 
 def make_row(value, agent="P1", metric="autonomy", p_d=0.5, strategy="nowatch"):
-    return SweepRow(config_id="c", replication=0, seed=0, p_d=p_d,
-                    p_detect=0.5, strategy=strategy, agent=agent,
-                    metric=metric, value=value)
+    coords = SweepCoords(config_id="c", replication=0, seed=0, p_d=p_d,
+                         p_detect=0.5, strategy=Strategy.parse(strategy))
+    return SweepRow(coords=coords, agent=agent, metric=metric, value=value)
 
 
 def test_aggregate_single_row():
@@ -216,7 +218,8 @@ def test_aggregate_matches_naive_oracle():
     groups = {}
     for row in rows:
         for agent in (row.agent, "all"):
-            key = (row.p_d, row.p_detect, row.strategy, agent, row.metric)
+            key = (row.coords.p_d, row.coords.p_detect,
+                   row.coords.strategy.label(), agent, row.metric)
             groups.setdefault(key, []).append(row.value)
     expected = {}
     for key, values in groups.items():
