@@ -14,16 +14,23 @@ Tick phase order:
   B  watch sense/intervene/call, then call dispatch
   C  nurse movement and guidance
   D  resident movement
-  E  tally recording: each agent's current state gains the step length
+  E  tallies, and residents that stop travelling go to sleep
 
 Agents are processed in ascending-id order within each phase.  A
 same-tick chain detection -> call -> response start is possible by
 construction, which is the normative tick semantics.
 
-A step is one tick while anything is live.  A quiescent span, in which
-no agent acts, draws or emits anything, is taken in one step, and
-phase E credits its length to the state each agent holds throughout.
-The every-tick reference is ``reference_run`` in the tests: it skips
+Only agents that can act are stepped: next-event time advance, per
+agent.  A travelling or guided resident is awake and runs phases A, B
+and D every tick.  An idle or dwelling resident draws nothing and emits
+nothing until its wake tick (its appointment's start, plus the reminder
+delay once it forgot, or the end of its stay), so phase E credits its
+mode up to that tick, capped at the horizon, and it sleeps in a heap
+until then.  Phase C skips an inactive nurse on its base while no
+resident is lost, since its scan could find no one.  The next tick is
+``tick + 1`` while a resident is awake, a call is queued, or a nurse is
+busy or off its base, and otherwise the earliest wake tick.  The
+every-tick reference is ``reference_run`` in the tests: it skips
 nothing and must produce the same log.
 """
 
@@ -32,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field, fields
+from heapq import heappop, heappush
 
 from .agents import (
     REMINDER_DELAY, NurseAgent, NurseConfig, PwDAgent, PwDConfig, PwDStreams,
@@ -127,6 +135,10 @@ def _config_fields(cfg) -> dict:
     return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
 
 
+def _agent_id(agent) -> str:
+    return agent.id
+
+
 def _build_agents(scenario: Scenario) -> tuple[list[PwDAgent], list[NurseAgent]]:
     grid = scenario.grid
     seed = scenario.seed
@@ -134,7 +146,7 @@ def _build_agents(scenario: Scenario) -> tuple[list[PwDAgent], list[NurseAgent]]
     watch_fields = _config_fields(scenario.watch)
 
     pwds: list[PwDAgent] = []
-    for cfg in sorted(scenario.pwds, key=lambda c: c.id):
+    for cfg in sorted(scenario.pwds, key=_agent_id):
         streams = PwDStreams(
             disorient=derive_stream(seed, cfg.id, "disorient"),
             noise=derive_stream(seed, cfg.id, "noise"),
@@ -152,7 +164,7 @@ def _build_agents(scenario: Scenario) -> tuple[list[PwDAgent], list[NurseAgent]]
 
     nurses: list[NurseAgent] = []
     base_counts: dict[str, int] = {}
-    for cfg in sorted(scenario.nurses, key=lambda c: c.id):
+    for cfg in sorted(scenario.nurses, key=_agent_id):
         cells = grid.cells_of(cfg.base)
         k = base_counts.get(cfg.base, 0)
         base_counts[cfg.base] = k + 1
@@ -161,37 +173,27 @@ def _build_agents(scenario: Scenario) -> tuple[list[PwDAgent], list[NurseAgent]]
     return pwds, nurses
 
 
-def _quiet_until(ctx: WorldContext, tick: int, horizon: int) -> int:
-    """The next tick after ``tick`` at which anything can happen, at most ``horizon``.
+def _wake_tick(pwd: PwDAgent, horizon: int) -> int:
+    """The tick at which phase A next acts for an idle or dwelling resident.
 
-    That is ``tick + 1`` while the world is live.  It is quiescent when
-    every resident is idle or dwelling, no one is disoriented, the call
-    queue is empty, and every nurse stands inactive on a base cell.
-    Quiescent ticks consume no random draws and emit no events, so they
-    can be skipped up to the next departure, return trip or reminder.
+    A dweller leaves at ``until``.  An idle resident departs, or draws
+    whether it forgot, at its next appointment's start; an enabled watch
+    reminds one that forgot ``REMINDER_DELAY`` ticks later.  With no
+    appointment left it never acts again: ``horizon``.
     """
-    if ctx.queue:
-        return tick + 1
-    wake = horizon
-    for pwd in ctx.pwds:
-        mode = pwd.mode
-        if mode == PWD_TRAVELING or mode == PWD_GUIDED or pwd.disoriented:
-            return tick + 1
-        if mode == PWD_AT_APPOINTMENT:
-            w = pwd.until
-        else:  # idle
-            if pwd.next_idx >= len(pwd.schedule):
-                continue
-            appt = pwd.schedule[pwd.next_idx]
-            w = appt.start + (REMINDER_DELAY if pwd.forgot else 0)
-        if w < wake:
-            wake = w
-    grid = ctx.grid
-    for nurse in ctx.nurses:
-        if nurse.state != NURSE_INACTIVE or \
-                not grid.at_label(nurse.position, nurse.base):
-            return tick + 1
-    return max(wake, tick + 1)
+    if pwd.mode == PWD_AT_APPOINTMENT:
+        return pwd.until
+    if pwd.next_idx < len(pwd.schedule):
+        return pwd.schedule[pwd.next_idx].start + (REMINDER_DELAY if pwd.forgot else 0)
+    return horizon
+
+
+def _anyone_lost(pwds: list[PwDAgent]) -> bool:
+    """Whether a resident is disoriented with no nurse responding."""
+    for pwd in pwds:
+        if pwd.disoriented and pwd.nurse is None:
+            return True
+    return False
 
 
 def run_simulation(scenario: Scenario) -> EventLog:
@@ -208,23 +210,61 @@ def run_simulation(scenario: Scenario) -> EventLog:
                    [p.id for p in pwds], [n.id for n in nurses])
     events = log.events
     queue = ctx.queue
-    pwd_tallies = [(p, log.pwd_mode_ticks[p.id]) for p in pwds]
+    pwd_tallies = log.pwd_mode_ticks
     nurse_tallies = [(n, log.nurse_state_ticks[n.id]) for n in nurses]
 
+    asleep: list[tuple[int, str, PwDAgent]] = []  # (wake tick, id, resident), a heap
+
+    def sleep(pwd: PwDAgent, since: int, wake: int) -> None:
+        """Credit the resident's mode up to ``wake`` and leave it until then."""
+        pwd_tallies[pwd.id][pwd.mode] += min(wake, horizon) - since
+        if wake < horizon:
+            heappush(asleep, (wake, pwd.id, pwd))
+
+    for pwd in pwds:  # every resident starts idle at home
+        sleep(pwd, 0, _wake_tick(pwd, horizon))
+    awake: list[PwDAgent] = []  # in id order, as the phases take them
     tick = 0
     while tick < horizon:
-        for pwd in pwds:
+        if asleep and asleep[0][0] == tick:
+            while asleep and asleep[0][0] == tick:
+                awake.append(heappop(asleep)[2])
+            awake.sort(key=_agent_id)
+        for pwd in awake:
             pwd_begin_tick(pwd, grid, tick, events)
-        for pwd in pwds:
+        for pwd in awake:
             watch_step(pwd, tick, events, queue)
         assign_calls(ctx, tick, events)
+        # An inactive nurse on its base acts only on sighting a lost
+        # resident.  Phase C loses no one, so once a look finds no one
+        # lost, the rest of the phase finds no one either.
+        lost = True
         for nurse in nurses:
+            if nurse.state == NURSE_INACTIVE and \
+                    grid.at_label(nurse.position, nurse.base):
+                lost = lost and _anyone_lost(awake)
+                if not lost:
+                    continue
             nurse_step(nurse, ctx, tick, events)
-        for pwd in pwds:
+        for pwd in awake:
             pwd_move(pwd, grid, tick, events)
-        step = _quiet_until(ctx, tick, horizon) - tick
-        for pwd, ticks in pwd_tallies:
-            ticks[pwd.mode] += step
+
+        still = []
+        for pwd in awake:
+            mode = pwd.mode
+            if mode == PWD_TRAVELING or mode == PWD_GUIDED:
+                pwd_tallies[pwd.id][mode] += 1
+                still.append(pwd)
+            else:  # a missed appointment's successor waits for the next tick
+                sleep(pwd, tick, max(_wake_tick(pwd, horizon), tick + 1))
+        awake = still
+
+        if awake or queue or any(
+                nurse.state != NURSE_INACTIVE or
+                not grid.at_label(nurse.position, nurse.base) for nurse in nurses):
+            step = 1
+        else:
+            step = (asleep[0][0] if asleep else horizon) - tick
         for nurse, ticks in nurse_tallies:
             ticks[nurse.state] += step
         tick += step

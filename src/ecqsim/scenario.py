@@ -195,6 +195,12 @@ def load_scenario(path: str | Path) -> ScenarioTemplate:
     except UnicodeDecodeError as exc:
         raise ScenarioError(problems + [f"map: {map_path} is not UTF-8 text"]) from exc
 
+    # The top-level values are read first, for the appointments' default
+    # duration, and reported last, so their problems follow the sections'.
+    top_problems: list[str] = []
+    top = _read(raw, _TOP_FIELDS, "", top_problems)
+    duration = top.get("appointment_duration", DEFAULT_APPOINTMENT_DURATION)
+
     pwds: list[PwDConfig] = []
     rows = raw.get("pwd")
     if not rows:
@@ -216,7 +222,7 @@ def load_scenario(path: str | Path) -> ScenarioTemplate:
             if "start" in values:  # else the file is rejected anyway
                 appointments.append(Appointment(
                     str(appt["location"]), values["start"],
-                    values.get("duration", DEFAULT_APPOINTMENT_DURATION)))
+                    values.get("duration", duration)))
         pwds.append(PwDConfig(
             id=str(row["id"]), home=str(row["home"]), schedule=appointments,
             **_read(row, _PWD_FIELDS, f"pwd {row['id']} ", problems)))
@@ -238,10 +244,9 @@ def load_scenario(path: str | Path) -> ScenarioTemplate:
     _unknown_keys(watch_raw, _WATCH_FIELDS, "watch: ", problems)
     watch = WatchConfig(**_read(watch_raw, _WATCH_FIELDS, "watch ", problems))
 
-    # Read last, so their problems follow the sections'.
-    template = ScenarioTemplate(
-        grid=grid, pwds=pwds, nurses=nurses, watch=watch,
-        **_read(raw, _TOP_FIELDS, "", problems))
+    problems.extend(top_problems)
+    template = ScenarioTemplate(grid=grid, pwds=pwds, nurses=nurses,
+                                watch=watch, **top)
 
     # generate_schedule cannot draw from a negative count or horizon, and a
     # negative duration would be reported per appointment: check these first.

@@ -208,6 +208,17 @@ def test_explicit_appointments_are_kept_and_run(tmp_path):
     assert (first.tick, first.payload["goal"]) == (120, "clinic")
 
 
+def test_explicit_appointment_takes_the_file_duration(tmp_path):
+    path = write_demo(tmp_path, appointment_duration=10)
+    raw = yaml.safe_load(path.read_text())
+    raw["pwd"][0]["appointments"] = [{"location": "clinic", "start": 100}]
+    path.write_text(yaml.safe_dump(raw))
+    template = load_scenario(path)
+    assert template.pwds[0].schedule == [Appointment("clinic", 100, 10)]
+    drawn = template.scenario().pwds[1].schedule
+    assert drawn and {a.duration for a in drawn} == {10}
+
+
 @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
 @pytest.mark.parametrize("damaged", ["scenario", "map"])
 def test_non_utf8_file_is_one_error_line(tmp_path, capsys, damaged, command):

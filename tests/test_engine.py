@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -7,6 +8,7 @@ from conftest import (
     check_causal_ordering, corridor_grid, facilities, reference_run,
 )
 
+import ecqsim.engine
 from ecqsim.engine import (
     NurseConfig, PwDConfig, Scenario, ScenarioError, WatchConfig,
     derive_stream, run_simulation,
@@ -14,8 +16,8 @@ from ecqsim.engine import (
 from ecqsim.agents import Appointment
 from ecqsim.events import (
     DETECTION, DISORIENTATION_START, EventLog, GUIDANCE_END, GUIDANCE_START,
-    NURSE_CALLED, NURSE_GUIDING, PWD_GUIDED, RESPONSE_START, TRIP_END,
-    TRIP_START,
+    NURSE_CALLED, NURSE_GUIDING, NURSE_INACTIVE, PWD_AT_APPOINTMENT,
+    PWD_GUIDED, PWD_IDLE, RESPONSE_START, TRIP_END, TRIP_START,
 )
 from ecqsim.metrics import build_report
 from ecqsim.scenario import build_run
@@ -69,6 +71,61 @@ def test_paper_grid_runs_match_the_reference(demo_loaded, p_d, strategy):
     scenario = build_run(demo_loaded, schedule_seed=5, replication=0,
                          run_seed=5, p_d=p_d, watch=watch)
     assert run_simulation(scenario).to_text() == reference_run(scenario).to_text()
+
+
+def scheduled_phase_calls(scenario):
+    """Run ``scenario`` with phases A and C wrapped, and count their calls.
+
+    The wrappers replace the ``ecqsim.engine`` globals, as perfbench's
+    tracer does, and check that the engine steps no agent that cannot
+    act: a phase-A call on an idle or dwelling resident must emit an
+    event or move it on in its schedule, and a phase-C call on an
+    inactive nurse standing on its base must find a resident
+    disoriented with no nurse responding.  The log must still equal
+    the reference's.
+    """
+    calls = Counter()
+    begin_tick, nurse_step = ecqsim.engine.pwd_begin_tick, ecqsim.engine.nurse_step
+
+    def checked_begin_tick(pwd, grid, tick, events):
+        calls["A"] += 1
+        before = (pwd.mode, pwd.next_idx, pwd.forgot, len(events))
+        begin_tick(pwd, grid, tick, events)
+        if before[0] in (PWD_IDLE, PWD_AT_APPOINTMENT):
+            assert (pwd.mode, pwd.next_idx, pwd.forgot, len(events)) != before, \
+                (pwd.id, tick)
+
+    def checked_nurse_step(nurse, ctx, tick, events):
+        calls["C"] += 1
+        if nurse.state == NURSE_INACTIVE and ctx.grid.at_label(nurse.position, nurse.base):
+            assert any(p.disoriented and p.nurse is None for p in ctx.pwds), \
+                (nurse.id, tick)
+        nurse_step(nurse, ctx, tick, events)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ecqsim.engine, "pwd_begin_tick", checked_begin_tick)
+        patch.setattr(ecqsim.engine, "nurse_step", checked_nurse_step)
+        text = run_simulation(scenario).to_text()
+    assert text == reference_run(scenario).to_text()
+    return calls
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["watch", "nowatch"])
+def test_scheduler_steps_only_agents_that_can_act(demo_loaded, enabled):
+    # Forgetful residents exercise reminders (watch) and missed
+    # appointments (no watch) as well as dwelling and travelling.
+    template = replace(demo_loaded, pwds=[replace(p, p_forget=0.5)
+                                          for p in demo_loaded.pwds])
+    scenario = build_run(template, schedule_seed=5, replication=0, run_seed=5,
+                         p_d=0.5, watch=WatchConfig(enabled=enabled, p_detect=0.5))
+    calls = scheduled_phase_calls(scenario)
+    assert calls["A"] > 0 and calls["C"] > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(facilities())
+def test_scheduler_contract_on_generated_facilities(template):
+    assert scheduled_phase_calls(template.scenario())["A"] > 0
 
 
 def test_forced_chain_detection_and_call_same_tick(demo_loaded):
