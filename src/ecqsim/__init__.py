@@ -15,7 +15,7 @@ from .agents import (
 from .engine import Scenario, ScenarioError, derive_stream, run_simulation
 from .events import Event, EventLog
 from .experiment import (
-    Aggregate, Strategy, SweepConfig, SweepRow, aggregate, paper_strategies,
+    PAPER_STRATEGIES, Aggregate, Strategy, SweepConfig, SweepRow, aggregate,
     run_sweep,
 )
 from .grid import (
@@ -28,11 +28,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Aggregate", "Appointment", "Event", "EventLog", "GridMap", "MapError",
-    "MetricReport", "NurseAgent", "NurseConfig", "Position", "PwDAgent",
-    "PwDConfig", "Scenario", "ScenarioError", "ScenarioTemplate",
-    "SmartWatch", "Strategy", "SweepConfig", "SweepRow", "WatchConfig",
-    "aggregate", "assign_calls", "autonomy", "build_report", "derive_stream",
-    "generate_schedule", "line_of_sight", "load_scenario", "nurse_efficiency",
-    "nurse_step", "paper_strategies", "parse_map", "run_simulation",
+    "MetricReport", "NurseAgent", "NurseConfig", "PAPER_STRATEGIES",
+    "Position", "PwDAgent", "PwDConfig", "Scenario", "ScenarioError",
+    "ScenarioTemplate", "SmartWatch", "Strategy", "SweepConfig", "SweepRow",
+    "WatchConfig", "aggregate", "assign_calls", "autonomy", "build_report",
+    "derive_stream", "generate_schedule", "line_of_sight", "load_scenario",
+    "nurse_efficiency", "nurse_step", "parse_map", "run_simulation",
     "run_sweep", "shortest_path", "watch_step",
 ]

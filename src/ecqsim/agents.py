@@ -16,6 +16,10 @@ engine, in a fixed phase order:
 The step functions append :class:`~ecqsim.events.Event` records to the
 list they are given and draw randomness only from the streams attached
 to the agent, so a run is a pure function of (scenario, seed).
+
+The engine's scheduler steps only agents that can act, by two rules
+kept beside the phases whose conditions they restate: ``wake_tick``
+(phase A) and ``anyone_lost`` (the phase C scan).
 """
 
 from __future__ import annotations
@@ -64,14 +68,6 @@ class Trip:
 
 
 @dataclass(slots=True)
-class PwDStreams:
-    disorient: random.Random
-    noise: random.Random
-    false_goal: random.Random
-    forget: random.Random
-
-
-@dataclass(slots=True)
 class PwDConfig:
     id: str
     home: str
@@ -113,7 +109,10 @@ class SmartWatch(WatchConfig):
 @dataclass(slots=True, kw_only=True)
 class PwDAgent(PwDConfig):
     position: Position
-    streams: PwDStreams
+    disorient_rng: random.Random
+    noise_rng: random.Random
+    false_goal_rng: random.Random
+    forget_rng: random.Random
     watch: SmartWatch  # disabled when the scenario has no watch
     site_labels: tuple[str, ...] = ()
     mode: int = PWD_IDLE
@@ -188,7 +187,7 @@ def _sample_false_goal(pwd: PwDAgent, grid: GridMap, true_goal: str) -> str:
     candidates = [label for label in pwd.site_labels if label != true_goal]
     if not candidates:
         candidates = [label for label in sorted(grid.locations) if label != true_goal]
-    return candidates[pwd.streams.false_goal.randrange(len(candidates))]
+    return candidates[pwd.false_goal_rng.randrange(len(candidates))]
 
 
 def pwd_begin_tick(pwd: PwDAgent, grid: GridMap, tick: int,
@@ -218,7 +217,7 @@ def pwd_begin_tick(pwd: PwDAgent, grid: GridMap, tick: int,
         if tick >= appt.start:
             if pwd.forgot is None:
                 pwd.forgot = pwd.p_forget > 0 and \
-                    pwd.streams.forget.random() < pwd.p_forget
+                    pwd.forget_rng.random() < pwd.p_forget
             if pwd.forgot:
                 if not pwd.watch.enabled:
                     # Nothing will ever remind them; the appointment is missed.
@@ -235,7 +234,7 @@ def pwd_begin_tick(pwd: PwDAgent, grid: GridMap, tick: int,
                         appt.duration, events)
 
     if pwd.mode == PWD_TRAVELING and not pwd.disoriented and pwd.p_d > 0:
-        if pwd.streams.disorient.random() < pwd.p_d:
+        if pwd.disorient_rng.random() < pwd.p_d:
             pwd.episode_seq += 1
             pwd.episode = f"{pwd.id}.e{pwd.episode_seq}"
             pwd.disoriented = True
@@ -246,15 +245,29 @@ def pwd_begin_tick(pwd: PwDAgent, grid: GridMap, tick: int,
                 "false_goal": pwd.false_goal, "pos": _pos_str(pwd.position)}))
 
 
-def pwd_move(pwd: PwDAgent, grid: GridMap, tick: int,
-             events: list[Event]) -> None:
+def wake_tick(pwd: PwDAgent, horizon: int) -> int:
+    """The tick at which phase A next acts for an idle or dwelling resident.
+
+    A dweller leaves at ``until``.  An idle resident departs, or draws
+    whether it forgot, at its next appointment's start; an enabled watch
+    reminds one that forgot ``REMINDER_DELAY`` ticks later.  With no
+    appointment left it never acts again: ``horizon``.
+    """
+    if pwd.mode == PWD_AT_APPOINTMENT:
+        return pwd.until
+    if pwd.next_idx < len(pwd.schedule):
+        return pwd.schedule[pwd.next_idx].start + (REMINDER_DELAY if pwd.forgot else 0)
+    return horizon
+
+
+def pwd_move(pwd: PwDAgent, grid: GridMap, tick: int) -> None:
     """Phase D for one resident: locomotion noise, then one step."""
     if pwd.mode != PWD_TRAVELING or pwd.moved_tick == tick:
         return
     if pwd.disoriented and tick >= pwd.resample_tick:
         pwd.false_goal = _sample_false_goal(pwd, grid, pwd.trip.goal)
         pwd.resample_tick = tick + FALSE_GOAL_PERIOD
-    if pwd.p_noise > 0 and pwd.streams.noise.random() < pwd.p_noise:
+    if pwd.p_noise > 0 and pwd.noise_rng.random() < pwd.p_noise:
         return
     target = pwd.false_goal if pwd.disoriented else pwd.trip.goal
     pwd.position = grid.step_toward_label(pwd.position, target)
@@ -382,6 +395,14 @@ def _begin_guidance(nurse: NurseAgent, pwd: PwDAgent, tick: int,
                         {"pwd": pwd.id, "episode": pwd.episode}))
 
 
+def anyone_lost(pwds: list[PwDAgent]) -> bool:
+    """Whether a resident is disoriented with no nurse responding."""
+    for pwd in pwds:
+        if pwd.disoriented and pwd.nurse is None:
+            return True
+    return False
+
+
 def nurse_step(nurse: NurseAgent, ctx: WorldContext, tick: int,
                events: list[Event]) -> None:
     """Phase C for one nurse: scan, pursue, or guide."""
@@ -426,7 +447,7 @@ def nurse_step(nurse: NurseAgent, ctx: WorldContext, tick: int,
 
     if nurse.state == NURSE_GUIDING:
         pwd = nurse.target
-        if pwd.p_noise > 0 and pwd.streams.noise.random() < pwd.p_noise:
+        if pwd.p_noise > 0 and pwd.noise_rng.random() < pwd.p_noise:
             return  # resident steadies themselves; nurse waits
         step = grid.step_toward_label(pwd.position, pwd.trip.goal)
         pwd.position = step

@@ -8,9 +8,9 @@ Subcommands:
   demo      copy the bundled demo map and scenario into a directory
 
 Exit codes: 0 success, 2 validation or grid-spec failure, 3 I/O
-failure.  Commands raise their failures; ``main`` alone maps every
-failure to its exit code and prints its diagnostics to stderr, one per
-line, prefixed ``error:``.
+failure.  Commands return nothing and raise their failures; ``main``
+alone returns the exit code, mapping every failure to its code and
+printing its diagnostics to stderr, one per line, prefixed ``error:``.
 Seed precedence: scenario file < ECQ_SEED environment variable <
 --seed flag.
 """
@@ -76,7 +76,7 @@ def _pick_seed(template: ScenarioTemplate, flag_seed: int | None) -> int:
     return template.seed
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace) -> None:
     template = load_scenario(args.scenario)
     grid = template.grid
     print(f"OK {args.scenario}")
@@ -87,10 +87,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
             print(f"{role}: {' '.join(labels)}")
     print(f"pwds {len(template.pwds)}, nurses {len(template.nurses)}, "
           f"horizon {template.horizon}, seed {template.seed}")
-    return EXIT_OK
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def cmd_run(args: argparse.Namespace) -> None:
     template = load_scenario(args.scenario)
     seed = _pick_seed(template, args.seed)
     log = run_simulation(template.scenario(seed))
@@ -100,7 +99,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         outputs.append((args.report, text))
     _write_all(outputs)
     print(text, end="")
-    return EXIT_OK
 
 
 def _parse_prob(token: str) -> float:
@@ -136,7 +134,7 @@ def _parse_grid_spec(spec: str) -> dict[str, tuple]:
     return overrides
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> None:
     template = load_scenario(args.scenario)
     seed = _pick_seed(template, args.seed)
     if not args.paper_grid and not args.grid:
@@ -181,17 +179,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # The last progress call always shows done == total, so last_shown counts the runs.
     print(f"{last_shown} runs in {elapsed:.1f}s -> {args.out}, {args.aggregate}",
           file=sys.stderr)
-    return EXIT_OK
 
 
-def cmd_demo(args: argparse.Namespace) -> int:
+def cmd_demo(args: argparse.Namespace) -> None:
     dest = Path(args.dir)
     dest.mkdir(parents=True, exist_ok=True)
     for name in ("demo_map.txt", "demo_scenario.yaml"):
         data = resources.files("ecqsim.data").joinpath(name).read_text("utf-8")
         (dest / name).write_text(data, encoding="utf-8", newline="\n")
     print(f"wrote {dest / 'demo_scenario.yaml'}")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,7 +231,8 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command; every failure it raises becomes ``error:`` lines."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
+        return EXIT_OK
     except _Failure as exc:
         messages, code = exc.args
     except ScenarioError as exc:

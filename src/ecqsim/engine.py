@@ -23,15 +23,14 @@ construction, which is the normative tick semantics.
 Only agents that can act are stepped: next-event time advance, per
 agent.  A travelling or guided resident is awake and runs phases A, B
 and D every tick.  An idle or dwelling resident draws nothing and emits
-nothing until its wake tick (its appointment's start, plus the reminder
-delay once it forgot, or the end of its stay), so phase E credits its
-mode up to that tick, capped at the horizon, and it sleeps in a heap
+nothing until its wake tick (``agents.wake_tick``), so phase E credits
+its mode up to that tick, capped at the horizon, and it sleeps in a heap
 until then.  Phase C skips an inactive nurse on its base while no
-resident is lost, since its scan could find no one.  The next tick is
-``tick + 1`` while a resident is awake, a call is queued, or a nurse is
-busy or off its base, and otherwise the earliest wake tick.  The
-every-tick reference is ``reference_run`` in the tests: it skips
-nothing and must produce the same log.
+resident is lost (``agents.anyone_lost``), since its scan could find no
+one.  The next tick is ``tick + 1`` while a resident is awake, a call
+is queued, or a nurse is busy or off its base, and otherwise the
+earliest wake tick.  The every-tick reference is ``reference_run`` in
+the tests: it skips nothing and must produce the same log.
 """
 
 from __future__ import annotations
@@ -42,13 +41,11 @@ from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
 
 from .agents import (
-    REMINDER_DELAY, NurseAgent, NurseConfig, PwDAgent, PwDConfig, PwDStreams,
-    SmartWatch, WatchConfig, WorldContext, assign_calls, nurse_step,
-    pwd_begin_tick, pwd_move, watch_step,
+    NurseAgent, NurseConfig, PwDAgent, PwDConfig, SmartWatch, WatchConfig,
+    WorldContext, anyone_lost, assign_calls, nurse_step, pwd_begin_tick,
+    pwd_move, wake_tick, watch_step,
 )
-from .events import (
-    NURSE_INACTIVE, PWD_AT_APPOINTMENT, PWD_GUIDED, PWD_TRAVELING, EventLog,
-)
+from .events import NURSE_INACTIVE, PWD_GUIDED, PWD_TRAVELING, EventLog
 from .grid import ROLE_APPOINTMENT_SITE, ROLE_NURSE_BASE, ROLE_PWD_HOME, GridMap
 
 DEFAULT_HORIZON = 10_000
@@ -147,12 +144,6 @@ def _build_agents(scenario: Scenario) -> tuple[list[PwDAgent], list[NurseAgent]]
 
     pwds: list[PwDAgent] = []
     for cfg in sorted(scenario.pwds, key=_agent_id):
-        streams = PwDStreams(
-            disorient=derive_stream(seed, cfg.id, "disorient"),
-            noise=derive_stream(seed, cfg.id, "noise"),
-            false_goal=derive_stream(seed, cfg.id, "false_goal"),
-            forget=derive_stream(seed, cfg.id, "forget"),
-        )
         watch = SmartWatch(
             **watch_fields,
             detect_rng=derive_stream(seed, cfg.id, "detect"),
@@ -160,7 +151,11 @@ def _build_agents(scenario: Scenario) -> tuple[list[PwDAgent], list[NurseAgent]]
         )
         pwds.append(PwDAgent(
             **_config_fields(cfg), position=grid.only_cell(cfg.home),
-            streams=streams, site_labels=sites, watch=watch))
+            disorient_rng=derive_stream(seed, cfg.id, "disorient"),
+            noise_rng=derive_stream(seed, cfg.id, "noise"),
+            false_goal_rng=derive_stream(seed, cfg.id, "false_goal"),
+            forget_rng=derive_stream(seed, cfg.id, "forget"),
+            site_labels=sites, watch=watch))
 
     nurses: list[NurseAgent] = []
     base_counts: dict[str, int] = {}
@@ -171,29 +166,6 @@ def _build_agents(scenario: Scenario) -> tuple[list[PwDAgent], list[NurseAgent]]
         nurses.append(NurseAgent(**_config_fields(cfg),
                                  position=cells[k % len(cells)]))
     return pwds, nurses
-
-
-def _wake_tick(pwd: PwDAgent, horizon: int) -> int:
-    """The tick at which phase A next acts for an idle or dwelling resident.
-
-    A dweller leaves at ``until``.  An idle resident departs, or draws
-    whether it forgot, at its next appointment's start; an enabled watch
-    reminds one that forgot ``REMINDER_DELAY`` ticks later.  With no
-    appointment left it never acts again: ``horizon``.
-    """
-    if pwd.mode == PWD_AT_APPOINTMENT:
-        return pwd.until
-    if pwd.next_idx < len(pwd.schedule):
-        return pwd.schedule[pwd.next_idx].start + (REMINDER_DELAY if pwd.forgot else 0)
-    return horizon
-
-
-def _anyone_lost(pwds: list[PwDAgent]) -> bool:
-    """Whether a resident is disoriented with no nurse responding."""
-    for pwd in pwds:
-        if pwd.disoriented and pwd.nurse is None:
-            return True
-    return False
 
 
 def run_simulation(scenario: Scenario) -> EventLog:
@@ -222,7 +194,7 @@ def run_simulation(scenario: Scenario) -> EventLog:
             heappush(asleep, (wake, pwd.id, pwd))
 
     for pwd in pwds:  # every resident starts idle at home
-        sleep(pwd, 0, _wake_tick(pwd, horizon))
+        sleep(pwd, 0, wake_tick(pwd, horizon))
     awake: list[PwDAgent] = []  # in id order, as the phases take them
     tick = 0
     while tick < horizon:
@@ -242,12 +214,12 @@ def run_simulation(scenario: Scenario) -> EventLog:
         for nurse in nurses:
             if nurse.state == NURSE_INACTIVE and \
                     grid.at_label(nurse.position, nurse.base):
-                lost = lost and _anyone_lost(awake)
+                lost = lost and anyone_lost(awake)
                 if not lost:
                     continue
             nurse_step(nurse, ctx, tick, events)
         for pwd in awake:
-            pwd_move(pwd, grid, tick, events)
+            pwd_move(pwd, grid, tick)
 
         still = []
         for pwd in awake:
@@ -256,7 +228,7 @@ def run_simulation(scenario: Scenario) -> EventLog:
                 pwd_tallies[pwd.id][mode] += 1
                 still.append(pwd)
             else:  # a missed appointment's successor waits for the next tick
-                sleep(pwd, tick, max(_wake_tick(pwd, horizon), tick + 1))
+                sleep(pwd, tick, max(wake_tick(pwd, horizon), tick + 1))
         awake = still
 
         if awake or queue or any(

@@ -16,12 +16,12 @@ import concurrent.futures
 import contextlib
 import hashlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import partial
 from statistics import mean, stdev
 from typing import Callable, Iterator
 
-from .engine import Scenario, ScenarioError, WatchConfig, run_simulation
+from .engine import Scenario, ScenarioError, run_simulation
 from .metrics import MetricReport, build_report
 from .scenario import ScenarioTemplate, build_run
 
@@ -29,7 +29,6 @@ DEFAULT_REPLICATIONS = 200
 
 PAPER_P_D = (0.0, 0.25, 0.5, 0.75, 1.0)
 PAPER_P_DETECT = (0.5, 0.2)
-PAPER_N_HELP = (0, 1, 2, 3, 4, 5)
 
 ROWS_CSV_HEADER = "config_id,replication,seed,p_d,p_detect,strategy,agent,metric,value"
 AGGREGATE_CSV_HEADER = "p_d,p_detect,strategy,agent,metric,mean,std,count"
@@ -56,9 +55,8 @@ class Strategy:
         raise ValueError(f"bad strategy token {token!r}")
 
 
-def paper_strategies() -> tuple[Strategy, ...]:
-    return (Strategy(watch=False),) + tuple(
-        Strategy(watch=True, n_help=k) for k in PAPER_N_HELP)
+PAPER_STRATEGIES = (Strategy(watch=False),) + tuple(
+    Strategy(watch=True, n_help=k) for k in range(6))
 
 
 @dataclass
@@ -66,7 +64,7 @@ class SweepConfig:
     template: ScenarioTemplate
     p_d_levels: tuple[float, ...] = PAPER_P_D
     p_detect_levels: tuple[float, ...] = PAPER_P_DETECT
-    strategies: tuple[Strategy, ...] = field(default_factory=paper_strategies)
+    strategies: tuple[Strategy, ...] = PAPER_STRATEGIES
     replications: int = DEFAULT_REPLICATIONS
     base_seed: int = 0
 
@@ -81,9 +79,11 @@ class SweepConfig:
             for level in levels:
                 if not 0.0 <= level <= 1.0:
                     problems.append(f"{name} level {level} outside [0, 1]")
-            # A repeat would rerun the same seeds and count its rows twice.
-            problems.extend(f"repeated {name} level {level}"
-                            for level, n in Counter(levels).items() if n > 1)
+            # Levels that print alike share a config id and its seeds; 0 and
+            # -0 share an aggregate group, so -0 is printed as 0 here.
+            shown = Counter(f"{level + 0.0:g}" for level in levels)
+            problems.extend(f"repeated {name} level {text}"
+                            for text, n in shown.items() if n > 1)
         if not self.strategies:
             problems.append("no strategies")
         problems.extend(f"repeated strategy {strategy.label()}"
@@ -156,11 +156,8 @@ def iter_coords(config: SweepConfig) -> Iterator[SweepCoords]:
 def scenario_for(config: SweepConfig, coords: SweepCoords) -> Scenario:
     """Materialize one run of the sweep."""
     strategy = coords.strategy
-    watch = WatchConfig(
-        enabled=strategy.watch,
-        p_detect=coords.p_detect,
-        n_help=strategy.n_help,
-        intervention_interval=config.template.watch.intervention_interval)
+    watch = replace(config.template.watch, enabled=strategy.watch,
+                    p_detect=coords.p_detect, n_help=strategy.n_help)
     return build_run(
         config.template, schedule_seed=config.base_seed,
         replication=coords.replication, run_seed=coords.seed,

@@ -41,11 +41,8 @@ class MetricReport:
     travel_efficiency: dict[str, float | None]
     counts: dict[str, AgentCounts]
 
-    def to_text(self, seed: int | None = None) -> str:
-        lines = ["ecqsim-report v1"]
-        if seed is not None:
-            lines.append(f"seed {seed}")
-        lines.append(f"horizon {self.t_total}")
+    def to_text(self, seed: int) -> str:
+        lines = ["ecqsim-report v1", f"seed {seed}", f"horizon {self.t_total}"]
         for pwd_id, value in self.autonomy.items():
             lines.append(f"autonomy {pwd_id} {value:.2f}")
         for nurse_id, value in self.efficiency.items():

@@ -109,7 +109,8 @@ _TOP_FIELDS = {"map": None, "legend": None, "pwd": None, "nurses": None,
                "appointment_duration": int, "seed": int}
 _PWD_FIELDS = {"id": None, "home": None, "appointments": None, "p_d": float,
                "p_i": float, "p_noise": float, "p_forget": float}
-_APPOINTMENT_FIELDS = {"start": int, "duration": int}
+_APPOINTMENT_FIELDS = {"location": None, "start": int, "duration": int}
+_LEGEND_FIELDS = {"label": None, "role": None}
 _NURSE_FIELDS = {"id": None, "base": None, "radius": float}
 _WATCH_FIELDS = {"enabled": bool, "p_detect": float, "n_help": int,
                  "intervention_interval": int}
@@ -178,6 +179,7 @@ def load_scenario(path: str | Path) -> ScenarioTemplate:
         if not isinstance(entry, dict) or "label" not in entry or "role" not in entry:
             problems.append(f"legend {glyph!r}: need label and role")
             continue
+        _unknown_keys(entry, _LEGEND_FIELDS, f"legend {glyph!r}: ", problems)
         role = str(entry["role"])
         if role not in ROLES:
             problems.append(f"legend {glyph!r}: unknown role {role!r}")
@@ -217,6 +219,8 @@ def load_scenario(path: str | Path) -> ScenarioTemplate:
                     or "start" not in appt:
                 problems.append(f"pwd {row['id']}: appointment {j} needs location and start")
                 continue
+            _unknown_keys(appt, _APPOINTMENT_FIELDS,
+                          f"pwd {row['id']} appointment {j}: ", problems)
             values = _read(appt, _APPOINTMENT_FIELDS,
                            f"pwd {row['id']} appointment {j} ", problems)
             if "start" in values:  # else the file is rejected anyway

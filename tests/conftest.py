@@ -10,7 +10,7 @@ from ecqsim.engine import (
     NurseConfig, PwDConfig, WatchConfig, _build_agents, derive_stream,
 )
 from ecqsim.agents import (
-    PwDAgent, PwDStreams, SmartWatch, WorldContext, assign_calls, nurse_step,
+    PwDAgent, SmartWatch, WorldContext, assign_calls, nurse_step,
     pwd_begin_tick, pwd_move, watch_step,
 )
 from ecqsim.events import (
@@ -67,7 +67,7 @@ def reference_run(scenario):
         for nurse in nurses:
             nurse_step(nurse, ctx, tick, events)
         for pwd in pwds:
-            pwd_move(pwd, grid, tick, events)
+            pwd_move(pwd, grid, tick)
         for pwd in pwds:
             log.pwd_mode_ticks[pwd.id][pwd.mode] += 1
         for nurse in nurses:
@@ -140,16 +140,14 @@ def corridor_grid(length: int, with_base: bool = False):
 def make_pwd(grid, *, seed=1, schedule=(), p_d=0.0, p_i=0.2, p_noise=0.0,
              p_forget=0.0, home="home", pwd_id="P1", watch=None) -> PwDAgent:
     """A resident at home; without ``watch`` it wears a disabled one."""
-    streams = PwDStreams(
-        disorient=derive_stream(seed, pwd_id, "disorient"),
-        noise=derive_stream(seed, pwd_id, "noise"),
-        false_goal=derive_stream(seed, pwd_id, "false_goal"),
-        forget=derive_stream(seed, pwd_id, "forget"),
-    )
     return PwDAgent(
         id=pwd_id, home=home, schedule=list(schedule), p_d=p_d, p_i=p_i,
         p_noise=p_noise, p_forget=p_forget, position=grid.only_cell(home),
-        streams=streams, site_labels=tuple(grid.labels_with_role("appointment_site")),
+        disorient_rng=derive_stream(seed, pwd_id, "disorient"),
+        noise_rng=derive_stream(seed, pwd_id, "noise"),
+        false_goal_rng=derive_stream(seed, pwd_id, "false_goal"),
+        forget_rng=derive_stream(seed, pwd_id, "forget"),
+        site_labels=tuple(grid.labels_with_role("appointment_site")),
         watch=watch or make_watch(pwd_id, seed=seed, enabled=False),
     )
 

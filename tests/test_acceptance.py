@@ -20,9 +20,7 @@ from ecqsim.agents import Appointment, pwd_begin_tick, watch_step
 from ecqsim.cli import main
 from ecqsim.engine import WatchConfig, run_simulation
 from ecqsim.events import NURSE_CALLED
-from ecqsim.experiment import (
-    Strategy, SweepConfig, paper_strategies, run_sweep,
-)
+from ecqsim.experiment import PAPER_STRATEGIES, Strategy, SweepConfig, run_sweep
 from ecqsim.grid import Position, parse_map, shortest_path
 from ecqsim.metrics import build_report
 from ecqsim.scenario import build_run
@@ -43,7 +41,7 @@ def trend_means(demo_loaded):
     p_detect=0.5, R=200, pooled across agents and replications."""
     config = SweepConfig(
         template=demo_loaded, p_d_levels=TREND_P_D,
-        p_detect_levels=(0.5,), strategies=paper_strategies(),
+        p_detect_levels=(0.5,), strategies=PAPER_STRATEGIES,
         replications=200, base_seed=ACCEPTANCE_SEED)
     started = time.monotonic()
     rows = run_sweep(config)

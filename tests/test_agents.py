@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import bfs_oracle, corridor_grid, make_pwd, make_watch
 
 from ecqsim.agents import (
-    Appointment, Call, NurseAgent, PwDAgent, PwDStreams, WorldContext,
+    Appointment, Call, NurseAgent, PwDAgent, WorldContext,
     assign_calls, nurse_step, pwd_begin_tick, pwd_move, watch_step,
 )
 from ecqsim.events import (
@@ -27,7 +27,7 @@ def drive(pwd, grid, ticks, start=0):
     events = []
     for tick in range(start, start + ticks):
         pwd_begin_tick(pwd, grid, tick, events)
-        pwd_move(pwd, grid, tick, events)
+        pwd_move(pwd, grid, tick)
     return events
 
 
@@ -117,7 +117,7 @@ def test_false_goal_resample_period():
         pwd_begin_tick(pwd, grid, tick, [])
         if pwd.disoriented and onset is None:
             onset = tick
-        pwd_move(pwd, grid, tick, [])
+        pwd_move(pwd, grid, tick)
         pwd.position = home  # pin in place so the trip never completes
         if pwd.disoriented:
             goals.append((tick, pwd.false_goal))
@@ -363,10 +363,11 @@ def test_sight_scan_matches_naive_scan(case):
                        position=Position(*nurse_cell))
     pwds = []
     for k, cell in enumerate(resident_cells):
-        streams = PwDStreams(*(random.Random(k) for _ in range(4)))
         pwds.append(PwDAgent(
             id=f"P{k}", home="home", schedule=[], p_d=1.0, p_i=0.0, p_noise=0.0,
-            p_forget=0.0, position=Position(*cell), streams=streams,
+            p_forget=0.0, position=Position(*cell), disorient_rng=random.Random(k),
+            noise_rng=random.Random(k), false_goal_rng=random.Random(k),
+            forget_rng=random.Random(k),
             watch=make_watch(f"P{k}", enabled=False), disoriented=True,
             episode=f"P{k}.e1"))
     # Naive scan: argmin of (distance, idx) over every resident in sight.
@@ -431,7 +432,7 @@ def test_guided_walk_reaches_goal_and_ends():
     all_events = []
     for tick in range(2, 40):
         nurse_step(nurse, ctx, tick, all_events)
-        pwd_move(pwd, OPEN_ROOM, tick, all_events)  # must not double-move
+        pwd_move(pwd, OPEN_ROOM, tick)  # must not double-move
         if any(e.kind == GUIDANCE_END for e in all_events):
             break
     assert pwd.position in goal_cells

@@ -168,18 +168,24 @@ def _without(key):
      ["legend 'Z': need label and role"]),
     (lambda raw: raw["legend"].update(Z={"label": "zed", "role": "kitchen"}),
      ["legend 'Z': unknown role 'kitchen'"]),
+    (lambda raw: raw["legend"]["C"].update(colour="red"),
+     ["legend 'C': unknown key 'colour'"]),
     (_without("map"), ["no map file given"]),
     (_without("pwd"), ["no pwd roster"]),
     (lambda raw: raw["pwd"].append({"id": "P6"}), ["pwd entry 5: need id and home"]),
     (lambda raw: raw["pwd"][0].update(appointments=[{"location": "dining"}]),
      ["pwd P1: appointment 0 needs location and start"]),
+    (lambda raw: raw["pwd"][0].update(appointments=[
+        {"location": "dining", "start": 100, "durration": 5}]),
+     ["pwd P1 appointment 0: unknown key 'durration'"]),
     (_without("nurses"), ["no nurse roster"]),
     (lambda raw: raw["nurses"].append({"base": "common"}),
      ["nurse entry 3: need id and base"]),
     (lambda raw: raw.update(appointments_per_pwd=9),
      ["map offers 8 appointment sites, need 9"]),
-], ids=["not-a-mapping", "legend-no-role", "legend-unknown-role", "no-map",
-        "no-pwd-roster", "pwd-no-home", "appointment-no-start", "no-nurse-roster",
+], ids=["not-a-mapping", "legend-no-role", "legend-unknown-role",
+        "legend-unknown-key", "no-map", "no-pwd-roster", "pwd-no-home",
+        "appointment-no-start", "appointment-unknown-key", "no-nurse-roster",
         "nurse-no-id", "too-few-sites"])
 def test_validate_reports_structural_problem(tmp_path, capsys, edit, lines):
     """``edit`` changes the demo's document in place or returns a new one."""
@@ -389,14 +395,15 @@ def test_sweep_requires_grid_choice(tmp_path, capsys):
     ("p_detect=nan", "p_detect level nan outside [0, 1]"),
     ("p_d=0.5,0.5;p_detect=0.5;strategy=nhelp=1", "repeated p_d level 0.5"),
     ("p_d=0.5;p_detect=0.5,0.50;strategy=nhelp=1", "repeated p_detect level 0.5"),
+    ("p_d=0.1234567,0.1234568;strategy=nowatch", "repeated p_d level 0.123457"),
     ("p_d=0.5;p_detect=0.5;strategy=nhelp=1,nhelp=01", "repeated strategy nhelp=1"),
     ("p_d=0.5;p_d=0.25;strategy=nowatch", "repeated grid key 'p_d'"),
     ("strategy=nhelp=\u00b2", "bad strategy token 'nhelp=\u00b2'"),
     ("p_d", "bad grid entry 'p_d'"),
     ("x=1", "unknown grid key 'x'"),
 ], ids=["p_d-range", "p_detect-nan", "repeated-p_d", "repeated-p_detect",
-        "repeated-strategy", "repeated-key", "non-ascii-digit", "no-values",
-        "unknown-key"])
+        "p_d-printed-alike", "repeated-strategy", "repeated-key", "non-ascii-digit",
+        "no-values", "unknown-key"])
 def test_sweep_rejects_bad_grid_value(tmp_path, capsys, grid, line):
     path = small_demo(tmp_path)
     capsys.readouterr()

@@ -9,8 +9,8 @@ from conftest import corridor_grid
 
 from ecqsim.engine import ScenarioError
 from ecqsim.experiment import (
-    Strategy, SweepConfig, SweepCoords, SweepRow, aggregate, aggregates_to_csv,
-    derive_run_seed, iter_coords, paper_strategies, rows_to_csv, run_sweep,
+    PAPER_STRATEGIES, Strategy, SweepConfig, SweepCoords, SweepRow, aggregate,
+    aggregates_to_csv, derive_run_seed, iter_coords, rows_to_csv, run_sweep,
     scenario_for,
 )
 from ecqsim.scenario import generate_schedule
@@ -39,12 +39,12 @@ def test_strategy_labels_and_parse():
 
 
 def test_paper_strategy_set():
-    labels = [s.label() for s in paper_strategies()]
+    labels = [s.label() for s in PAPER_STRATEGIES]
     assert labels == ["nowatch"] + [f"nhelp={k}" for k in range(6)]
 
 
 def test_sweep_config_strategies(demo_loaded):
-    assert SweepConfig(template=demo_loaded).strategies == paper_strategies()
+    assert SweepConfig(template=demo_loaded).strategies == PAPER_STRATEGIES
     assert SweepConfig(template=demo_loaded).validate() == []
     empty = SweepConfig(template=demo_loaded, strategies=())
     assert empty.strategies == ()
@@ -61,6 +61,9 @@ def test_sweep_config_rejects_repeated_values(demo_loaded):
         "repeated p_d level 0.5", "repeated p_detect level 0.2",
         "repeated strategy nhelp=1"]
     assert small_config(demo_loaded, p_d_levels=()).validate() == ["no p_d levels"]
+    # -0 prints apart from 0 but equals it, so the aggregate pools them.
+    assert small_config(demo_loaded, p_d_levels=(0.0, -0.0)).validate() == [
+        "repeated p_d level 0"]
 
 
 def test_run_seed_stable_and_distinct():
@@ -75,10 +78,24 @@ def test_run_seed_stable_and_distinct():
 def test_paper_grid_expansion_count(demo_loaded):
     config = small_config(demo_loaded, p_d_levels=(0, 0.25, 0.5, 0.75, 1),
                           p_detect_levels=(0.5, 0.2),
-                          strategies=paper_strategies(), replications=3)
+                          strategies=PAPER_STRATEGIES, replications=3)
     jobs = [(c, scenario_for(config, c)) for c in iter_coords(config)]
     assert len(jobs) == 5 * 2 * 7 * 3
     assert len({c.config_id for c, _ in jobs}) == 70
+
+
+def test_run_keeps_the_template_watch_settings(demo_loaded):
+    # The demo uses the default interval, so the golden digests cannot
+    # tell a kept interval from a reset one.
+    template = replace(demo_loaded, watch=replace(
+        demo_loaded.watch, enabled=False, p_detect=0.9, n_help=5,
+        intervention_interval=3))
+    config = small_config(demo_loaded, template=template, p_detect_levels=(0.2,),
+                          strategies=(Strategy(True, 2),), replications=1)
+    coords = next(iter_coords(config))
+    watch = scenario_for(config, coords).watch
+    assert watch.intervention_interval == 3
+    assert (watch.enabled, watch.p_detect, watch.n_help) == (True, 0.2, 2)
 
 
 def test_singleton_expansion(demo_loaded):
