@@ -33,7 +33,7 @@ from .experiment import (
 )
 from .grid import ROLES
 from .metrics import build_report
-from .scenario import ScenarioTemplate, load_scenario
+from .scenario import ScenarioTemplate, build_run, load_scenario
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -92,7 +92,8 @@ def cmd_validate(args: argparse.Namespace) -> None:
 def cmd_run(args: argparse.Namespace) -> None:
     template = load_scenario(args.scenario)
     seed = _pick_seed(template, args.seed)
-    log = run_simulation(template.scenario(seed))
+    log = run_simulation(build_run(template, schedule_seed=seed,
+                                   replication=0, run_seed=seed))
     text = build_report(log).to_text(seed=seed)
     outputs = [(args.out, log.to_text())] if args.out else []
     if args.report:

@@ -1,8 +1,8 @@
 """The runnable scenario, its validation, and the tick loop that runs it.
 
-``Scenario`` gathers the map, the agent configs, the horizon and the
-seed; ``run_simulation`` validates it, builds one agent per config, and
-advances the world tick by tick.
+``Scenario`` gathers the map, the agent configs, the horizon and the seed;
+``scenario.ScenarioTemplate`` extends it.  ``run_simulation`` validates
+it, builds one agent per config, and advances the world tick by tick.
 
 A run is a pure function of (scenario, seed).  Randomness comes from
 counter-style substreams derived per (seed, agent, purpose), so adding

@@ -68,6 +68,10 @@ class SweepConfig:
     replications: int = DEFAULT_REPLICATIONS
     base_seed: int = 0
 
+    def __post_init__(self) -> None:  # -0 is 0: one config id, seed set and spelling
+        self.p_d_levels = tuple(level + 0.0 for level in self.p_d_levels)
+        self.p_detect_levels = tuple(level + 0.0 for level in self.p_detect_levels)
+
     def validate(self) -> list[str]:
         problems = []
         if self.replications < 1:
@@ -79,9 +83,8 @@ class SweepConfig:
             for level in levels:
                 if not 0.0 <= level <= 1.0:
                     problems.append(f"{name} level {level} outside [0, 1]")
-            # Levels that print alike share a config id and its seeds; 0 and
-            # -0 share an aggregate group, so -0 is printed as 0 here.
-            shown = Counter(f"{level + 0.0:g}" for level in levels)
+            # Levels that print alike would share a config id and its seeds.
+            shown = Counter(f"{level:g}" for level in levels)
             problems.extend(f"repeated {name} level {text}"
                             for text, n in shown.items() if n > 1)
         if not self.strategies:

@@ -1,9 +1,9 @@
 """Scenario layer: templates, schedule drawing, run building, YAML files.
 
-A ``ScenarioTemplate`` holds what a sweep keeps fixed: the map, the
-rosters, the watch settings and the clock.  ``build_run`` turns it into
-a runnable ``Scenario``, drawing appointment schedules from the seed for
-residents that carry none.
+A ``ScenarioTemplate`` is a ``Scenario`` plus the size of the schedules
+drawn for residents that carry none; it holds what a sweep keeps fixed.
+``build_run`` turns it into the ``Scenario`` of one run, drawing those
+schedules.
 
 A scenario file names a map, supplies the glyph legend, the resident
 and nurse rosters, the watch settings, a horizon and a seed.  Loading
@@ -14,13 +14,13 @@ validation run can report all of them at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import yaml
 
 from .agents import Appointment, NurseConfig, PwDConfig, WatchConfig
-from .engine import DEFAULT_HORIZON, Scenario, ScenarioError, derive_stream
+from .engine import Scenario, ScenarioError, derive_stream
 from .grid import ROLE_APPOINTMENT_SITE, ROLES, GridMap, MapError, parse_map
 
 DEFAULT_APPOINTMENTS = 6
@@ -28,27 +28,11 @@ DEFAULT_APPOINTMENT_DURATION = 30
 
 
 @dataclass
-class ScenarioTemplate:
-    """Everything a sweep holds fixed: the map, the rosters, the clock.
-
-    Residents with a non-empty schedule keep it verbatim; for the rest a
-    schedule is drawn per replication.  ``seed`` is the scenario file's
-    seed, used when a single run is asked for without one.
-    """
-    grid: GridMap
-    pwds: list[PwDConfig]
-    nurses: list[NurseConfig]
-    watch: WatchConfig = field(default_factory=WatchConfig)
-    horizon: int = DEFAULT_HORIZON
+class ScenarioTemplate(Scenario):
+    """A scenario whose residents may lack a schedule: residents with one
+    keep it verbatim, and ``build_run`` draws one for the rest."""
     appointments_per_pwd: int = DEFAULT_APPOINTMENTS
     appointment_duration: int = DEFAULT_APPOINTMENT_DURATION
-    seed: int = 0
-
-    def scenario(self, seed: int | None = None) -> Scenario:
-        """Single-run scenario; generated schedules use replication 0."""
-        run_seed = self.seed if seed is None else seed
-        return build_run(self, schedule_seed=run_seed,
-                         replication=0, run_seed=run_seed)
 
 
 def generate_schedule(grid: GridMap, pwd_id: str, base_seed: int,
@@ -58,13 +42,10 @@ def generate_schedule(grid: GridMap, pwd_id: str, base_seed: int,
 
     The stream is keyed by (base_seed, resident, replication) only, so
     schedules match across strategies and probability levels within a
-    replication.  Raises ScenarioError when the map has too few sites.
+    replication.  ``load_scenario`` checks that the map offers ``count`` sites.
     """
-    sites = grid.labels_with_role(ROLE_APPOINTMENT_SITE)
-    if len(sites) < count:
-        raise ScenarioError([f"map offers {len(sites)} appointment sites, need {count}"])
     rng = derive_stream(base_seed, pwd_id, f"schedule.{replication}")
-    chosen = rng.sample(sites, count)
+    chosen = rng.sample(grid.labels_with_role(ROLE_APPOINTMENT_SITE), count)
     spacing, jitter = _spread(horizon, count)
     starts = sorted((i + 1) * spacing + (rng.randint(-jitter, jitter) if jitter else 0)
                     for i in range(count))
@@ -85,19 +66,18 @@ def build_run(template: ScenarioTemplate, *, schedule_seed: int,
 
     Schedules are drawn from (schedule_seed, replication) for residents
     without an explicit one, so they are shared by every configuration
-    of a replication.
+    of a replication.  Unchanged configs are shared: agents only read them.
     """
     pwds = []
     for cfg in template.pwds:
-        schedule = list(cfg.schedule) or generate_schedule(
+        schedule = cfg.schedule or generate_schedule(
             template.grid, cfg.id, schedule_seed, replication,
             template.appointments_per_pwd, template.appointment_duration,
             template.horizon)
         pwds.append(replace(cfg, schedule=schedule,
                             p_d=cfg.p_d if p_d is None else p_d))
     return Scenario(
-        grid=template.grid, pwds=pwds,
-        nurses=[replace(n) for n in template.nurses],
+        grid=template.grid, pwds=pwds, nurses=list(template.nurses),
         watch=template.watch if watch is None else watch,
         horizon=template.horizon, seed=run_seed)
 
@@ -143,6 +123,11 @@ def _unknown_keys(row: dict, fields: dict, prefix: str, problems: list[str]) -> 
             problems.append(f"{prefix}unknown key {key!r}")
 
 
+def _present(row, *keys: str) -> bool:
+    """Whether ``row`` is a mapping giving each of ``keys`` a non-null value."""
+    return isinstance(row, dict) and all(row.get(key) is not None for key in keys)
+
+
 def _section(value, kind: type, name: str, problems: list[str]):
     """``value`` if it is a ``kind``; an empty one if absent or mistyped."""
     if value is None:
@@ -176,7 +161,7 @@ def load_scenario(path: str | Path) -> ScenarioTemplate:
     legend: dict[str, tuple[str, str]] = {}
     for glyph, entry in _section(raw.get("legend"), dict, "legend", problems).items():
         glyph = str(glyph)
-        if not isinstance(entry, dict) or "label" not in entry or "role" not in entry:
+        if not _present(entry, "label", "role"):
             problems.append(f"legend {glyph!r}: need label and role")
             continue
         _unknown_keys(entry, _LEGEND_FIELDS, f"legend {glyph!r}: ", problems)
@@ -208,22 +193,21 @@ def load_scenario(path: str | Path) -> ScenarioTemplate:
     if not rows:
         problems.append("no pwd roster")
     for i, row in enumerate(_section(rows, list, "pwd", problems)):
-        if not isinstance(row, dict) or "id" not in row or "home" not in row:
+        if not _present(row, "id", "home"):
             problems.append(f"pwd entry {i}: need id and home")
             continue
         _unknown_keys(row, _PWD_FIELDS, f"pwd {row['id']}: ", problems)
         appointments = []
         for j, appt in enumerate(_section(row.get("appointments"), list,
                                           f"pwd {row['id']} appointments", problems)):
-            if not isinstance(appt, dict) or "location" not in appt \
-                    or "start" not in appt:
+            if not _present(appt, "location", "start"):
                 problems.append(f"pwd {row['id']}: appointment {j} needs location and start")
                 continue
             _unknown_keys(appt, _APPOINTMENT_FIELDS,
                           f"pwd {row['id']} appointment {j}: ", problems)
             values = _read(appt, _APPOINTMENT_FIELDS,
                            f"pwd {row['id']} appointment {j} ", problems)
-            if "start" in values:  # else the file is rejected anyway
+            if "start" in values:  # else _read reported a mistyped start
                 appointments.append(Appointment(
                     str(appt["location"]), values["start"],
                     values.get("duration", duration)))
@@ -236,7 +220,7 @@ def load_scenario(path: str | Path) -> ScenarioTemplate:
     if not rows:
         problems.append("no nurse roster")
     for i, row in enumerate(_section(rows, list, "nurses", problems)):
-        if not isinstance(row, dict) or "id" not in row or "base" not in row:
+        if not _present(row, "id", "base"):
             problems.append(f"nurse entry {i}: need id and base")
             continue
         _unknown_keys(row, _NURSE_FIELDS, f"nurse {row['id']}: ", problems)
@@ -252,8 +236,8 @@ def load_scenario(path: str | Path) -> ScenarioTemplate:
     template = ScenarioTemplate(grid=grid, pwds=pwds, nurses=nurses,
                                 watch=watch, **top)
 
-    # generate_schedule cannot draw from a negative count or horizon, and a
-    # negative duration would be reported per appointment: check these first.
+    # The signs first, reported together, as the room below needs them.
+    # Scenario.validate checks the horizon again for scenarios built in code.
     if template.horizon <= 0:
         problems.append("horizon must be positive")
     if template.appointments_per_pwd < 0:
@@ -275,9 +259,10 @@ def load_scenario(path: str | Path) -> ScenarioTemplate:
             problems.append(f"appointment_duration must be <= {room} for "
                             f"{count} drawn appointments in horizon {horizon}")
 
-    # Semantic validation via a trial materialization.
+    # The checks above make every drawn schedule valid, so only the
+    # explicit ones and the rest of the template are left to check.
     if not problems:
-        problems.extend(template.scenario().validate())
+        problems.extend(template.validate())
     if problems:
         raise ScenarioError(problems)
     return template

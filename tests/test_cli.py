@@ -8,7 +8,7 @@ from conftest import demo_scenario_path
 from ecqsim.agents import Appointment
 from ecqsim.cli import main
 from ecqsim.events import TRIP_START, EventLog
-from ecqsim.scenario import load_scenario
+from ecqsim.scenario import build_run, load_scenario
 
 
 def write_demo(tmp_path, pwd_overrides=None, **top_overrides):
@@ -183,10 +183,18 @@ def _without(key):
      ["nurse entry 3: need id and base"]),
     (lambda raw: raw.update(appointments_per_pwd=9),
      ["map offers 8 appointment sites, need 9"]),
+    (lambda raw: raw["legend"].update(Z={"label": None, "role": "appointment_site"}),
+     ["legend 'Z': need label and role"]),
+    (lambda raw: raw["pwd"][0].update(id=None), ["pwd entry 0: need id and home"]),
+    (lambda raw: raw["pwd"][0].update(appointments=[
+        {"location": "dining", "start": None}]),
+     ["pwd P1: appointment 0 needs location and start"]),
+    (lambda raw: raw["nurses"][0].update(base=None), ["nurse entry 0: need id and base"]),
 ], ids=["not-a-mapping", "legend-no-role", "legend-unknown-role",
         "legend-unknown-key", "no-map", "no-pwd-roster", "pwd-no-home",
         "appointment-no-start", "appointment-unknown-key", "no-nurse-roster",
-        "nurse-no-id", "too-few-sites"])
+        "nurse-no-id", "too-few-sites", "legend-null-label", "pwd-null-id",
+        "appointment-null-start", "nurse-null-base"])
 def test_validate_reports_structural_problem(tmp_path, capsys, edit, lines):
     """``edit`` changes the demo's document in place or returns a new one."""
     path = write_demo(tmp_path)
@@ -221,7 +229,8 @@ def test_explicit_appointment_takes_the_file_duration(tmp_path):
     path.write_text(yaml.safe_dump(raw))
     template = load_scenario(path)
     assert template.pwds[0].schedule == [Appointment("clinic", 100, 10)]
-    drawn = template.scenario().pwds[1].schedule
+    drawn = build_run(template, schedule_seed=0, replication=0,
+                      run_seed=0).pwds[1].schedule
     assert drawn and {a.duration for a in drawn} == {10}
 
 
@@ -309,6 +318,23 @@ def test_sweep_singleton_grid(tmp_path):
     assert main(args) == 0
     assert out.read_bytes() == first
     assert agg.read_text().startswith("p_d,p_detect,strategy,agent,metric,")
+
+
+@pytest.mark.parametrize("grid", ["p_d=-0;strategy=nowatch",
+                                  "p_d=0;p_detect=-0;strategy=nowatch",
+                                  "strategy=nowatch"],
+                         ids=["grid-p_d", "grid-p_detect", "roster-p_d"])
+def test_sweep_negative_zero_level_is_zero(tmp_path, grid):
+    """A level of -0, from --grid or the roster, sweeps as 0, byte for byte."""
+    outputs = []
+    for zero in ("-0", "0"):
+        path = small_demo(tmp_path, p_d=float(zero))
+        out, agg = tmp_path / f"rows{zero}.csv", tmp_path / f"agg{zero}.csv"
+        assert main(["sweep", str(path), "--grid", grid.replace("-0", zero),
+                     "--reps", "1", "--jobs", "1",
+                     "--out", str(out), "--aggregate", str(agg)]) == 0
+        outputs.append((out.read_bytes(), agg.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_sweep_paper_grid_accounting(tmp_path):

@@ -5,15 +5,12 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import corridor_grid
-
-from ecqsim.engine import ScenarioError
 from ecqsim.experiment import (
     PAPER_STRATEGIES, Strategy, SweepConfig, SweepCoords, SweepRow, aggregate,
     aggregates_to_csv, derive_run_seed, iter_coords, rows_to_csv, run_sweep,
     scenario_for,
 )
-from ecqsim.scenario import generate_schedule
+from ecqsim.scenario import build_run, generate_schedule
 
 
 def small_config(demo_loaded, **overrides):
@@ -148,15 +145,19 @@ def test_schedules_within_the_duration_bound_validate(demo_loaded, horizon, coun
     duration = data.draw(st.integers(0, bound), label="duration")
     schedule = generate_schedule(demo_loaded.grid, "P1", seed, replication,
                                  count, duration, horizon)
-    scenario = replace(demo_loaded.scenario(), horizon=horizon,
+    run = build_run(demo_loaded, schedule_seed=0, replication=0, run_seed=0)
+    scenario = replace(run, horizon=horizon,
                        pwds=[replace(demo_loaded.pwds[0], schedule=schedule)])
     assert scenario.validate() == []
 
 
-def test_insufficient_sites():
-    grid = corridor_grid(5)  # single appointment site
-    with pytest.raises(ScenarioError, match="appointment sites"):
-        generate_schedule(grid, "P1", 7, 0, 6, 30, 10_000)
+def test_build_run_leaves_the_template_as_it_was(demo_loaded):
+    before = repr(demo_loaded)
+    run = build_run(demo_loaded, schedule_seed=1, replication=0, run_seed=1, p_d=1.0)
+    assert repr(demo_loaded) == before
+    assert all(cfg.schedule == [] for cfg in demo_loaded.pwds)
+    assert all(cfg.schedule and cfg.p_d == 1.0 for cfg in run.pwds)
+    assert run.pwds is not demo_loaded.pwds and run.nurses is not demo_loaded.nurses
 
 
 # -- running -------------------------------------------------------------------
