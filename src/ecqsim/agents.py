@@ -17,9 +17,10 @@ The step functions append :class:`~ecqsim.events.Event` records to the
 list they are given and draw randomness only from the streams attached
 to the agent, so a run is a pure function of (scenario, seed).
 
-The engine's scheduler steps only agents that can act, by two rules
+The engine's scheduler steps only agents that can act, by three rules
 kept beside the phases whose conditions they restate: ``wake_tick``
-(phase A) and ``anyone_lost`` (the phase C scan).
+(phase A), ``passive`` (phases A and B) and ``anyone_lost`` (the phase
+C scan).
 """
 
 from __future__ import annotations
@@ -260,6 +261,25 @@ def wake_tick(pwd: PwDAgent, horizon: int) -> int:
     return horizon
 
 
+def passive(pwd: PwDAgent, grid: GridMap) -> bool:
+    """Whether phases A and B can do nothing for a travelling or guided resident.
+
+    A guided resident's nurse moves it until ``GuidanceEnd``.  A lost
+    traveller whose watch is disabled or awaits a nurse draws nothing
+    in phase B, and phase A can only see it arrive, once it stands on
+    its trip's goal.  Such a traveller stays lost until it arrives or a
+    nurse guides it, so a passive resident stays passive until it is
+    travelling on its goal again: it walked there, or ``GuidanceEnd``
+    left it there.
+    """
+    if pwd.mode == PWD_GUIDED:
+        return True
+    watch = pwd.watch
+    return pwd.disoriented and \
+        (not watch.enabled or watch.phase == WATCH_AWAITING_NURSE) and \
+        not grid.at_label(pwd.position, pwd.trip.goal)
+
+
 def pwd_move(pwd: PwDAgent, grid: GridMap, tick: int) -> None:
     """Phase D for one resident: locomotion noise, then one step."""
     if pwd.mode != PWD_TRAVELING or pwd.moved_tick == tick:
@@ -320,17 +340,23 @@ def _call_nurse(watch: SmartWatch, owner: PwDAgent, tick: int,
 # -- dispatch and nurses ---------------------------------------------------
 
 
+def _stale_reason(call: Call) -> str | None:
+    """Why a queued call is stale, or None while its resident needs a nurse."""
+    pwd = call.pwd
+    if not pwd.disoriented:
+        return "resolved"
+    if pwd.nurse is not None:
+        return "duplicate"
+    return None
+
+
 def _live_call_target(call: Call, tick: int,
                       events: list[Event]) -> PwDAgent | None:
     """The resident a queued call is for, or None after dropping it as stale."""
-    pwd = call.pwd
-    if not pwd.disoriented:
-        reason = "resolved"
-    elif pwd.nurse is not None:
-        reason = "duplicate"
-    else:
-        return pwd
-    events.append(Event(tick, "B", CALL_DROPPED, pwd.id,
+    reason = _stale_reason(call)
+    if reason is None:
+        return call.pwd
+    events.append(Event(tick, "B", CALL_DROPPED, call.pwd.id,
                         {"episode": call.episode, "reason": reason}))
     return None
 
@@ -349,10 +375,18 @@ def assign_calls(ctx: WorldContext, tick: int, events: list[Event]) -> None:
     """Phase B dispatch: match queued calls to inactive nurses, FIFO.
 
     Stale calls (resident already fine or already attended) are dropped;
-    unassignable calls stay queued in order.
+    unassignable calls stay queued in order.  While every nurse is busy
+    and every call live, that leaves the queue as it is, so it is not
+    touched.
     """
     if not ctx.queue:
         return
+    for nurse in ctx.nurses:
+        if nurse.state == NURSE_INACTIVE:
+            break
+    else:
+        if not any(map(_stale_reason, ctx.queue)):
+            return
     free = [(idx, n) for idx, n in enumerate(ctx.nurses)
             if n.state == NURSE_INACTIVE]
     pending: list[Call] = []
@@ -395,11 +429,12 @@ def _begin_guidance(nurse: NurseAgent, pwd: PwDAgent, tick: int,
                         {"pwd": pwd.id, "episode": pwd.episode}))
 
 
-def anyone_lost(pwds: list[PwDAgent]) -> bool:
-    """Whether a resident is disoriented with no nurse responding."""
-    for pwd in pwds:
-        if pwd.disoriented and pwd.nurse is None:
-            return True
+def anyone_lost(*groups: list[PwDAgent]) -> bool:
+    """Whether a resident in ``groups`` is disoriented with no nurse responding."""
+    for pwds in groups:
+        for pwd in pwds:
+            if pwd.disoriented and pwd.nurse is None:
+                return True
     return False
 
 

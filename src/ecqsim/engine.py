@@ -22,15 +22,21 @@ construction, which is the normative tick semantics.
 
 Only agents that can act are stepped: next-event time advance, per
 agent.  A travelling or guided resident is awake and runs phases A, B
-and D every tick.  An idle or dwelling resident draws nothing and emits
-nothing until its wake tick (``agents.wake_tick``), so phase E credits
-its mode up to that tick, capped at the horizon, and it sleeps in a heap
-until then.  Phase C skips an inactive nurse on its base while no
-resident is lost (``agents.anyone_lost``), since its scan could find no
-one.  The next tick is ``tick + 1`` while a resident is awake, a call
-is queued, or a nurse is busy or off its base, and otherwise the
-earliest wake tick.  The every-tick reference is ``reference_run`` in
-the tests: it skips nothing and must produce the same log.
+and D every tick, unless it is passive (``agents.passive``): guided, or
+lost with a watch that is disabled or already awaits a nurse.  Phases
+A and B can do nothing for a passive resident, so phase E moves it to
+a second list that only phases D and E take, and moves it back, in id
+order, once it is travelling on its trip's goal again; phase A then
+sees the arrival on the next tick.  An idle or dwelling resident draws
+nothing and emits nothing until its wake tick (``agents.wake_tick``),
+so phase E credits its mode up to that tick, capped at the horizon,
+and it sleeps in a heap until then.  Phase C skips an inactive nurse on
+its base while no resident is lost (``agents.anyone_lost``), since its
+scan could find no one.  The next tick is ``tick + 1`` while a resident
+travels or is guided, a call is queued, or a nurse is busy or off its
+base, and otherwise the earliest wake tick.  The every-tick reference
+is ``reference_run`` in the tests: it skips nothing and must produce
+the same log.
 """
 
 from __future__ import annotations
@@ -42,8 +48,8 @@ from heapq import heappop, heappush
 
 from .agents import (
     NurseAgent, NurseConfig, PwDAgent, PwDConfig, SmartWatch, WatchConfig,
-    WorldContext, anyone_lost, assign_calls, nurse_step, pwd_begin_tick,
-    pwd_move, wake_tick, watch_step,
+    WorldContext, anyone_lost, assign_calls, nurse_step, passive,
+    pwd_begin_tick, pwd_move, wake_tick, watch_step,
 )
 from .events import NURSE_INACTIVE, PWD_GUIDED, PWD_TRAVELING, EventLog
 from .grid import ROLE_APPOINTMENT_SITE, ROLE_NURSE_BASE, ROLE_PWD_HOME, GridMap
@@ -196,6 +202,7 @@ def run_simulation(scenario: Scenario) -> EventLog:
     for pwd in pwds:  # every resident starts idle at home
         sleep(pwd, 0, wake_tick(pwd, horizon))
     awake: list[PwDAgent] = []  # in id order, as the phases take them
+    movers: list[PwDAgent] = []  # passive residents: phases D and E only
     tick = 0
     while tick < horizon:
         if asleep and asleep[0][0] == tick:
@@ -214,24 +221,37 @@ def run_simulation(scenario: Scenario) -> EventLog:
         for nurse in nurses:
             if nurse.state == NURSE_INACTIVE and \
                     grid.at_label(nurse.position, nurse.base):
-                lost = lost and anyone_lost(awake)
+                lost = lost and anyone_lost(movers, awake)
                 if not lost:
                     continue
             nurse_step(nurse, ctx, tick, events)
         for pwd in awake:
             pwd_move(pwd, grid, tick)
+        for pwd in movers:
+            pwd_move(pwd, grid, tick)
 
-        still = []
+        still, back = [], []
+        for pwd in movers:
+            mode = pwd.mode
+            pwd_tallies[pwd.id][mode] += 1
+            # Passive until travelling on its goal again (agents.passive).
+            if mode == PWD_TRAVELING and grid.at_label(pwd.position, pwd.trip.goal):
+                back.append(pwd)
+            else:
+                still.append(pwd)
+        movers, still = still, back
         for pwd in awake:
             mode = pwd.mode
             if mode == PWD_TRAVELING or mode == PWD_GUIDED:
                 pwd_tallies[pwd.id][mode] += 1
-                still.append(pwd)
+                (movers if passive(pwd, grid) else still).append(pwd)
             else:  # a missed appointment's successor waits for the next tick
                 sleep(pwd, tick, max(wake_tick(pwd, horizon), tick + 1))
+        if back:
+            still.sort(key=_agent_id)
         awake = still
 
-        if awake or queue or any(
+        if awake or movers or queue or any(
                 nurse.state != NURSE_INACTIVE or
                 not grid.at_label(nurse.position, nurse.base) for nurse in nurses):
             step = 1

@@ -19,6 +19,17 @@ order.  A query whose distance is already known reads the cached field
 directly; every other query goes through one method that creates or
 grows the field and raises MapError when the origin is cut off from the
 target.  MapError is the one error type, for bad plans and bad queries.
+
+Three shortcuts return the same answers with less work.  A field holds
+shorts (``array('h')``) on maps of up to 32,767 cells, where no
+distance can exceed one, and ints otherwise.  A step toward a cell
+first asks a table of wall counts whether the rectangle spanned by the
+two cells holds no wall; if so the distance is the Manhattan one, and
+as the grid is bipartite every neighbour is one step nearer or farther,
+so the first neighbour in the fixed order that moves toward the target
+is the one the descent picks, found in O(1).  A step toward a label is
+memoized per (label, cell): the cells it reads are settled, so its
+answer never changes.  Pickling drops the fields and the memo.
 """
 
 from __future__ import annotations
@@ -79,11 +90,19 @@ class GridMap:
         # Open neighbours of each open cell in up, right, down, left
         # order; walls have none.
         self._nbrs = self._neighbour_table()
+        # No distance reaches the cell count, so a field's distances fit
+        # a short on maps of up to 32,767 cells.
+        self._typecode = "h" if width * height <= 32_767 else "i"
         self._validate()
 
         # Resumable distance fields keyed by target cell index or label:
         # [dist, frontier, level], see _bfs.
         self._fields: dict[int | str, list] = {}
+        # Memoized label steps: per label, the step from each cell index.
+        self._label_steps: dict[str, list] = {}
+        # Wall counts of the rectangles anchored at (0, 0), built by the
+        # first cell step; see _walls_between.
+        self._wall_sums: array | None = None
 
     # -- validation ----------------------------------------------------
 
@@ -150,7 +169,7 @@ class GridMap:
         return tuple(table)
 
     def _new_field(self, sources: list[int]) -> list:
-        dist = array("i", [-1]) * (self.width * self.height)
+        dist = array(self._typecode, [-1]) * (self.width * self.height)
         frontier = [s for s in sources if self._open[s]]
         for s in frontier:
             dist[s] = 0
@@ -231,21 +250,70 @@ class GridMap:
         """Steps to the nearest cell carrying ``label``."""
         return self._distance(label, origin)
 
+    def _walls_between(self, x0: int, y0: int, x1: int, y1: int) -> int:
+        """Walls in the rectangle with corners (x0, y0) and (x1, y1), inclusive."""
+        sums = self._wall_sums
+        stride = self.width + 1
+        if sums is None:
+            # sums[y * stride + x] counts the walls left of x and above y.
+            sums = array("i", [0]) * (stride * (self.height + 1))
+            is_open = self._open
+            for y in range(self.height):
+                row = 0
+                for x in range(self.width):
+                    row += not is_open[y * self.width + x]
+                    k = (y + 1) * stride + x + 1
+                    sums[k] = sums[k - stride] + row
+            self._wall_sums = sums
+        if x0 > x1:
+            x0, x1 = x1, x0
+        if y0 > y1:
+            y0, y1 = y1, y0
+        top, bottom = y0 * stride, (y1 + 1) * stride
+        return (sums[bottom + x1 + 1] - sums[top + x1 + 1]
+                - sums[bottom + x0] + sums[top + x0])
+
     def step_toward_cell(self, pos: Position, target: Position) -> Position:
         """One step along a shortest path to ``target`` (stays put on arrival)."""
-        return self._descend(target.y * self.width + target.x, pos)
+        x, y = pos
+        tx, ty = target
+        if self._walls_between(x, y, tx, ty) == 0:
+            # Open floor: the distance is the Manhattan one, and the first
+            # neighbour in up, right, down, left order that moves toward
+            # the target is the one a descent picks.
+            i = y * self.width + x
+            if ty < y:
+                return self._positions[i - self.width]
+            if tx > x:
+                return self._positions[i + 1]
+            if ty > y:
+                return self._positions[i + self.width]
+            if tx < x:
+                return self._positions[i - 1]
+            return pos
+        return self._descend(ty * self.width + tx, pos)
 
     def step_toward_label(self, pos: Position, label: str) -> Position:
-        return self._descend(label, pos)
+        # A step's answer never changes: the cells it reads are settled.
+        try:
+            steps = self._label_steps[label]
+        except KeyError:
+            steps = self._label_steps[label] = [None] * (self.width * self.height)
+        i = pos.y * self.width + pos.x
+        step = steps[i]
+        if step is None:
+            step = steps[i] = self._descend(label, pos)
+        return step
 
     def at_label(self, pos: Position, label: str) -> bool:
         return self.cells[pos.y * self.width + pos.x] == label
 
-    # -- pickling (drop fields; they are pure accelerators) -------------
+    # -- pickling (drop fields and steps; they are pure accelerators) ---
 
     def __getstate__(self):
         state = dict(self.__dict__)
         state["_fields"] = {}
+        state["_label_steps"] = {}
         return state
 
 

@@ -12,8 +12,9 @@ from ecqsim.agents import (
 )
 from ecqsim.events import (
     CALL_DROPPED, DETECTION, DISORIENTATION_START, GUIDANCE_END,
-    GUIDANCE_START, INTERVENTION_FAIL, NURSE_CALLED, PWD_GUIDED, REMINDER,
-    RESPONSE_START, TRIP_END, TRIP_START,
+    GUIDANCE_START, INTERVENTION_FAIL, NURSE_CALLED, NURSE_GUIDING,
+    NURSE_INACTIVE, NURSE_RESPONDING, PWD_GUIDED, REMINDER, RESPONSE_START,
+    TRIP_END, TRIP_START, Event,
 )
 from ecqsim.grid import Position, line_of_sight, parse_map
 
@@ -479,6 +480,88 @@ def test_second_call_stays_queued_fifo():
     assign_calls(ctx, 0, [])
     assert nurse.target is p1
     assert [c.pwd.id for c in ctx.queue] == ["P2"]
+
+
+def naive_assign_calls(ctx, tick, events):
+    """Dispatch as first written: every queued call is taken out and re-queued."""
+    free = [(idx, n) for idx, n in enumerate(ctx.nurses) if n.state == NURSE_INACTIVE]
+    pending = []
+    while ctx.queue:
+        call = ctx.queue.popleft()
+        pwd = call.pwd
+        reason = "resolved" if not pwd.disoriented else \
+            "duplicate" if pwd.nurse is not None else None
+        if reason is not None:
+            events.append(Event(tick, "B", CALL_DROPPED, pwd.id,
+                                {"episode": call.episode, "reason": reason}))
+        elif not free:
+            pending.append(call)
+        else:
+            best = min(free, key=lambda item: (
+                ctx.grid.distance(item[1].position, pwd.position), item[0]))
+            free.remove(best)
+            best[1].state = NURSE_RESPONDING
+            best[1].target = pwd
+            best[1].call_episode = pwd.episode
+            pwd.nurse = best[1]
+            events.append(Event(tick, "B", RESPONSE_START, best[1].id, {
+                "pwd": pwd.id, "episode": pwd.episode, "via": "call"}))
+    ctx.queue.extend(pending)
+
+
+OPEN_CELLS = [Position(x, y) for y in range(OPEN_ROOM.height)
+              for x in range(OPEN_ROOM.width) if OPEN_ROOM.is_open(Position(x, y))]
+
+
+@st.composite
+def dispatch_cases(draw):
+    """Residents lost, resolved or attended; nurses mostly all busy; a queue."""
+    n_pwds = draw(st.integers(1, 6))
+    pwds = [(draw(st.sampled_from(OPEN_CELLS)),
+             draw(st.sampled_from(("lost", "resolved", "attended"))))
+            for _ in range(n_pwds)]
+    n_nurses = draw(st.integers(1, 3))
+    all_busy = draw(st.booleans())
+    nurses = [(draw(st.sampled_from(OPEN_CELLS)),
+               NURSE_RESPONDING if all_busy else
+               draw(st.sampled_from((NURSE_INACTIVE, NURSE_RESPONDING, NURSE_GUIDING))))
+              for _ in range(n_nurses)]
+    queue = draw(st.lists(st.integers(0, n_pwds - 1), max_size=12))
+    return pwds, nurses, queue
+
+
+def dispatch_world(case):
+    pwds_spec, nurses_spec, queue = case
+    nurses = [make_nurse(f"N{k}", pos) for k, (pos, _) in enumerate(nurses_spec)]
+    for nurse, (_, state) in zip(nurses, nurses_spec):
+        nurse.state = state
+    pwds = []
+    for k, (pos, status) in enumerate(pwds_spec):
+        pwd = traveling_pwd(f"P{k}", pos, seed=k)
+        pwd.disoriented = status != "resolved"
+        if status == "attended":
+            pwd.nurse = make_nurse("elsewhere")
+        pwds.append(pwd)
+    ctx = make_world(pwds, nurses)
+    ctx.queue.extend(Call(pwds[k], f"P{k}.e{n}") for n, k in enumerate(queue))
+    return ctx
+
+
+@settings(max_examples=200, deadline=None)
+@given(dispatch_cases())
+def test_dispatch_matches_naive_requeue(case):
+    got, want = dispatch_world(case), dispatch_world(case)
+    got_events, want_events = [], []
+    for tick in range(3):
+        if tick == 2:  # a queued resident recovers after a tick of waiting
+            got.pwds[0].disoriented = want.pwds[0].disoriented = False
+        assign_calls(got, tick, got_events)
+        naive_assign_calls(want, tick, want_events)
+        assert got_events == want_events
+        assert [(c.pwd.id, c.episode) for c in got.queue] == \
+            [(c.pwd.id, c.episode) for c in want.queue]
+        assert [(n.state, n.target and n.target.id) for n in got.nurses] == \
+            [(n.state, n.target and n.target.id) for n in want.nurses]
 
 
 def test_call_for_guided_resident_dropped():

@@ -13,11 +13,12 @@ from ecqsim.engine import (
     NurseConfig, PwDConfig, Scenario, ScenarioError, WatchConfig,
     derive_stream, run_simulation,
 )
-from ecqsim.agents import Appointment
+from ecqsim.agents import WATCH_AWAITING_NURSE, Appointment
+from ecqsim.grid import parse_map
 from ecqsim.events import (
     DETECTION, DISORIENTATION_START, EventLog, GUIDANCE_END, GUIDANCE_START,
     NURSE_CALLED, NURSE_GUIDING, NURSE_INACTIVE, PWD_AT_APPOINTMENT,
-    PWD_GUIDED, PWD_IDLE, RESPONSE_START, TRIP_END, TRIP_START,
+    PWD_GUIDED, PWD_IDLE, PWD_TRAVELING, RESPONSE_START, TRIP_END, TRIP_START,
 )
 from ecqsim.metrics import build_report
 from ecqsim.scenario import build_run
@@ -79,27 +80,48 @@ def test_paper_grid_runs_match_the_reference(demo_loaded, p_d, strategy):
     assert run_simulation(scenario).to_text() == reference_run(scenario).to_text()
 
 
+def silent(pwd, grid):
+    """Guided, or travelling lost off its goal with a watch that stays silent."""
+    watch = pwd.watch
+    return pwd.mode == PWD_GUIDED or (
+        pwd.mode == PWD_TRAVELING and pwd.disoriented
+        and (not watch.enabled or watch.phase == WATCH_AWAITING_NURSE)
+        and not grid.at_label(pwd.position, pwd.trip.goal))
+
+
 def scheduled_phase_calls(scenario):
-    """Run ``scenario`` with phases A and C wrapped, and count their calls.
+    """Run ``scenario`` with phases A, B and C wrapped, and count their calls.
 
     The wrappers replace the ``ecqsim.engine`` globals, as perfbench's
     tracer does, and check that the engine steps no agent that cannot
     act: a phase-A call on an idle or dwelling resident must emit an
-    event or move it on in its schedule, and a phase-C call on an
-    inactive nurse standing on its base must find a resident
-    disoriented with no nurse responding.  The log must still equal
-    the reference's.
+    event or move it on in its schedule, phases A and B never take a
+    silent resident (one lost this very tick aside, which phase E has
+    not yet seen), and a phase-C call on an inactive nurse standing on
+    its base must find a resident disoriented with no nurse responding.
+    The log must still equal the reference's.
     """
     calls = Counter()
     begin_tick, nurse_step = ecqsim.engine.pwd_begin_tick, ecqsim.engine.nurse_step
+    watch_step = ecqsim.engine.watch_step
+    lost_at = {}
 
     def checked_begin_tick(pwd, grid, tick, events):
         calls["A"] += 1
+        assert not silent(pwd, grid), (pwd.id, tick)
         before = (pwd.mode, pwd.next_idx, pwd.forgot, len(events))
         begin_tick(pwd, grid, tick, events)
         if before[0] in (PWD_IDLE, PWD_AT_APPOINTMENT):
             assert (pwd.mode, pwd.next_idx, pwd.forgot, len(events)) != before, \
                 (pwd.id, tick)
+        if events[before[3]:] and events[-1].kind == DISORIENTATION_START:
+            lost_at[pwd.id] = tick
+
+    def checked_watch_step(pwd, tick, events, queue):
+        calls["B"] += 1
+        assert not silent(pwd, scenario.grid) or lost_at.get(pwd.id) == tick, \
+            (pwd.id, tick)
+        watch_step(pwd, tick, events, queue)
 
     def checked_nurse_step(nurse, ctx, tick, events):
         calls["C"] += 1
@@ -110,28 +132,48 @@ def scheduled_phase_calls(scenario):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ecqsim.engine, "pwd_begin_tick", checked_begin_tick)
+        patch.setattr(ecqsim.engine, "watch_step", checked_watch_step)
         patch.setattr(ecqsim.engine, "nurse_step", checked_nurse_step)
         text = run_simulation(scenario).to_text()
     assert text == reference_run(scenario).to_text()
     return calls
 
 
-@pytest.mark.parametrize("enabled", [True, False], ids=["watch", "nowatch"])
-def test_scheduler_steps_only_agents_that_can_act(demo_loaded, enabled):
+@pytest.mark.parametrize("watch", [
+    WatchConfig(enabled=True, p_detect=0.5), WatchConfig(enabled=False),
+    WatchConfig(enabled=True, p_detect=0.5, n_help=0)],
+    ids=["watch", "nowatch", "nhelp=0"])
+def test_scheduler_steps_only_agents_that_can_act(demo_loaded, watch):
     # Forgetful residents exercise reminders (watch) and missed
     # appointments (no watch) as well as dwelling and travelling.
     template = replace(demo_loaded, pwds=[replace(p, p_forget=0.5)
                                           for p in demo_loaded.pwds])
     scenario = build_run(template, schedule_seed=5, replication=0, run_seed=5,
-                         p_d=0.5, watch=WatchConfig(enabled=enabled, p_detect=0.5))
+                         p_d=0.5, watch=watch)
     calls = scheduled_phase_calls(scenario)
-    assert calls["A"] > 0 and calls["C"] > 0
+    assert calls["A"] > 0 and calls["B"] > 0 and calls["C"] > 0
 
 
 @settings(max_examples=40, deadline=None)
 @given(facilities())
 def test_scheduler_contract_on_generated_facilities(template):
     assert scheduled_phase_calls(single_run(template))["A"] > 0
+
+
+def test_lost_step_onto_the_goal_is_an_arrival():
+    # The resident leaves at tick 1 and is lost at once, with no watch;
+    # its false goal lies past its true one, so its first step lands on
+    # the true goal.  Phase A must still see it there on tick 2.
+    grid = parse_map("#####\n#hst#\n#####", {
+        "h": ("home", "pwd_home"), "s": ("site", "appointment_site"),
+        "t": ("site2", "appointment_site")})
+    scenario = Scenario(grid=grid, nurses=[], horizon=20, pwds=[PwDConfig(
+        id="P1", home="home", p_d=1.0, p_noise=0.0,
+        schedule=[Appointment("site", 1, 5)])])
+    log = run_simulation(scenario)
+    assert log.to_text() == reference_run(scenario).to_text()
+    arrivals = [(e.tick, e.payload["goal"]) for e in log.events if e.kind == TRIP_END]
+    assert arrivals[0] == (2, "site")
 
 
 def test_forced_chain_detection_and_call_same_tick(demo_loaded):

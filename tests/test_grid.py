@@ -224,6 +224,86 @@ def test_resumed_fields_match_full_fields(case):
     check_resumed_queries(copy, target, ordered[::-1])
 
 
+def oracle_field(grid, goal_cells):
+    """Full distance field toward the nearest of ``goal_cells``, by cell."""
+    cells = [(x, y) for y in range(grid.height) for x in range(grid.width)
+             if grid.is_open(Position(x, y))]
+    field = {}
+    for c in cells:
+        found = [d for d in (bfs_oracle(grid, c, tuple(g)) for g in goal_cells)
+                 if d is not None]
+        if found:
+            field[c] = min(found)
+    return field
+
+
+@settings(max_examples=150, deadline=None)
+@given(pocket_maps())
+def test_steps_match_a_fresh_descent(case):
+    # No distance query comes first, so cell steps may take the open-floor
+    # rule, and the second label step reads the memo.
+    text, target, origins = case
+    grid = parse_map(text, {"L": ("lab", "appointment_site")})
+    to_cell = oracle_field(grid, [target])
+    to_label = oracle_field(grid, grid.cells_of("lab"))
+    for origin in origins:
+        pos = Position(*origin)
+        if origin in to_cell:
+            assert grid.step_toward_cell(pos, Position(*target)) == \
+                oracle_step(to_cell, origin)
+        if origin in to_label:
+            for _ in range(2):
+                assert grid.step_toward_label(pos, "lab") == oracle_step(to_label, origin)
+    copy = pickle.loads(pickle.dumps(grid))
+    assert copy._fields == {} and copy._label_steps == {}
+
+
+@st.composite
+def one_wall_rectangles(draw):
+    """An open map, two cells, and at most one wall inside their rectangle."""
+    width = draw(st.integers(1, 9))
+    height = draw(st.integers(1, 9))
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    origin, target = draw(st.sampled_from(cells)), draw(st.sampled_from(cells))
+    inside = [(x, y) for x, y in cells
+              if min(origin[0], target[0]) <= x <= max(origin[0], target[0])
+              and min(origin[1], target[1]) <= y <= max(origin[1], target[1])
+              and (x, y) not in (origin, target)]
+    glyphs = [["."] * width for _ in range(height)]
+    if inside and draw(st.booleans()):
+        x, y = draw(st.sampled_from(inside))
+        glyphs[y][x] = "#"
+    return "\n".join("".join(row) for row in glyphs), origin, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_wall_rectangles())
+def test_cell_steps_around_one_wall_match_a_descent(case):
+    text, origin, target = case
+    grid = parse_map(text, {})
+    to_cell = oracle_field(grid, [target])
+    if origin not in to_cell:  # the wall cuts a one-cell-wide map
+        with pytest.raises(MapError, match="no path"):
+            grid.step_toward_cell(Position(*origin), Position(*target))
+        return
+    path = [Position(*origin)]
+    while path[-1] != Position(*target):
+        path.append(oracle_step(to_cell, tuple(path[-1])))
+    for pos, step in zip(path, path[1:] + path[-1:]):
+        assert grid.step_toward_cell(pos, Position(*target)) == step
+    assert shortest_path(grid, Position(*origin), Position(*target)) == path
+
+
+@pytest.mark.parametrize("length", [32_767, 40_000])
+def test_long_corridor_distance(length):
+    # A short holds the distances of a map of up to 32,767 cells; a
+    # longer one needs wider fields.
+    grid = parse_map("." * length, {})
+    end = Position(length - 1, 0)
+    assert grid.distance(Position(0, 0), end) == length - 1
+    assert grid.step_toward_cell(end, Position(0, 0)) == Position(length - 2, 0)
+
+
 # -- line of sight ----------------------------------------------------------
 
 def test_los_adjacent():
