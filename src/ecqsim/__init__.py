@@ -18,9 +18,7 @@ from .experiment import (
     PAPER_STRATEGIES, Aggregate, Strategy, SweepConfig, SweepRow, aggregate,
     run_sweep,
 )
-from .grid import (
-    GridMap, MapError, Position, line_of_sight, parse_map, shortest_path,
-)
+from .grid import GridMap, MapError, Position, line_of_sight, parse_map
 from .metrics import MetricReport, autonomy, build_report, nurse_efficiency
 from .scenario import ScenarioTemplate, generate_schedule, load_scenario
 
@@ -34,5 +32,5 @@ __all__ = [
     "WatchConfig", "aggregate", "assign_calls", "autonomy", "build_report",
     "derive_stream", "generate_schedule", "line_of_sight", "load_scenario",
     "nurse_efficiency", "nurse_step", "parse_map", "run_simulation",
-    "run_sweep", "shortest_path", "watch_step",
+    "run_sweep", "watch_step",
 ]

@@ -374,7 +374,8 @@ def _begin_response(nurse: NurseAgent, pwd: PwDAgent, via: str, phase: str,
 def assign_calls(ctx: WorldContext, tick: int, events: list[Event]) -> None:
     """Phase B dispatch: match queued calls to inactive nurses, FIFO.
 
-    Stale calls (resident already fine or already attended) are dropped;
+    A call goes to the nearest free nurse, the lowest id on a tie.  Stale
+    calls (resident already fine or already attended) are dropped;
     unassignable calls stay queued in order.  While every nurse is busy
     and every call live, that leaves the queue as it is, so it is not
     touched.
@@ -387,8 +388,7 @@ def assign_calls(ctx: WorldContext, tick: int, events: list[Event]) -> None:
     else:
         if not any(map(_stale_reason, ctx.queue)):
             return
-    free = [(idx, n) for idx, n in enumerate(ctx.nurses)
-            if n.state == NURSE_INACTIVE]
+    free = [n for n in ctx.nurses if n.state == NURSE_INACTIVE]
     pending: list[Call] = []
     while ctx.queue:
         call = ctx.queue.popleft()
@@ -399,10 +399,9 @@ def assign_calls(ctx: WorldContext, tick: int, events: list[Event]) -> None:
             pending.append(call)
             continue
         grid = ctx.grid
-        best = min(free, key=lambda item: (
-            grid.distance(item[1].position, pwd.position), item[0]))
+        best = min(free, key=lambda n: grid.distance(n.position, pwd.position))
         free.remove(best)
-        _begin_response(best[1], pwd, "call", "B", tick, events)
+        _begin_response(best, pwd, "call", "B", tick, events)
     ctx.queue.extend(pending)
 
 
@@ -445,18 +444,18 @@ def nurse_step(nurse: NurseAgent, ctx: WorldContext, tick: int,
 
     if nurse.state == NURSE_INACTIVE:
         target: PwDAgent | None = None
-        best: tuple[int, int] | None = None
+        best: int | None = None
         x, y = nurse.position
         reach = nurse.radius * nurse.radius
-        for idx, pwd in enumerate(ctx.pwds):
+        for pwd in ctx.pwds:
             if pwd.disoriented and pwd.nurse is None:
                 px, py = pwd.position
                 if (px - x) * (px - x) + (py - y) * (py - y) > reach:
                     continue  # line_of_sight's first test, made before the call
                 if line_of_sight(grid, nurse.position, pwd.position, nurse.radius):
-                    key = (grid.distance(nurse.position, pwd.position), idx)
-                    if best is None or key < best:
-                        best = key
+                    d = grid.distance(nurse.position, pwd.position)
+                    if best is None or d < best:  # a tie keeps the lower id
+                        best = d
                         target = pwd
         if target is not None:
             _begin_response(nurse, target, "sight", "C", tick, events)

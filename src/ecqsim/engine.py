@@ -156,7 +156,7 @@ def _build_agents(scenario: Scenario) -> tuple[list[PwDAgent], list[NurseAgent]]
             intervene_rng=derive_stream(seed, cfg.id, "intervene"),
         )
         pwds.append(PwDAgent(
-            **_config_fields(cfg), position=grid.only_cell(cfg.home),
+            **_config_fields(cfg), position=grid.locations[cfg.home][0],
             disorient_rng=derive_stream(seed, cfg.id, "disorient"),
             noise_rng=derive_stream(seed, cfg.id, "noise"),
             false_goal_rng=derive_stream(seed, cfg.id, "false_goal"),
@@ -166,7 +166,7 @@ def _build_agents(scenario: Scenario) -> tuple[list[PwDAgent], list[NurseAgent]]
     nurses: list[NurseAgent] = []
     base_counts: dict[str, int] = {}
     for cfg in sorted(scenario.nurses, key=_agent_id):
-        cells = grid.cells_of(cfg.base)
+        cells = grid.locations[cfg.base]
         k = base_counts.get(cfg.base, 0)
         base_counts[cfg.base] = k + 1
         nurses.append(NurseAgent(**_config_fields(cfg),

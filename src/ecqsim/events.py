@@ -11,6 +11,7 @@ Field order is fixed, so identical runs serialize to identical bytes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 TRIP_START = "TripStart"
@@ -27,6 +28,8 @@ GUIDANCE_END = "GuidanceEnd"
 REMINDER = "Reminder"
 # Kinds whose subject is a nurse; every other kind's is a resident.
 NURSE_EVENTS = frozenset((RESPONSE_START, GUIDANCE_START, GUIDANCE_END))
+# A payload value reads as an integer only in str()'s spelling ("007" stays text).
+_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
 
 # PwD modes / nurse states as small ints; index = serialized code.
 PWD_IDLE, PWD_TRAVELING, PWD_AT_APPOINTMENT, PWD_GUIDED = range(4)
@@ -57,7 +60,7 @@ class Event:
         payload: dict[str, object] = {}
         for item in parts[4:]:
             key, _, value = item.partition("=")
-            payload[key] = int(value) if value.lstrip("-").isdigit() else value
+            payload[key] = int(value) if _INT_RE.fullmatch(value) else value
         return cls(int(parts[0]), parts[1], parts[2], parts[3], payload)
 
 

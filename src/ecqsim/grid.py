@@ -128,42 +128,30 @@ class GridMap:
     def in_bounds(self, pos: Position) -> bool:
         return 0 <= pos.x < self.width and 0 <= pos.y < self.height
 
-    def is_open(self, pos: Position) -> bool:
-        return bool(self._open[pos.y * self.width + pos.x])
-
-    def cells_of(self, label: str) -> tuple[Position, ...]:
-        return self.locations[label]
-
     def labels_with_role(self, role: str) -> list[str]:
         return sorted(label for label, r in self.roles.items()
                       if r == role and label in self.locations)
-
-    def only_cell(self, label: str) -> Position:
-        cells = self.locations[label]
-        if len(cells) != 1:
-            raise MapError(f"label {label!r} covers {len(cells)} cells, expected one")
-        return cells[0]
 
     # -- distance fields -----------------------------------------------
 
     def _neighbour_table(self) -> tuple[tuple[int, ...], ...]:
         w = self.width
         size = w * self.height
-        is_open = self._open
+        passable = self._open
         table = []
         for i in range(size):
-            if not is_open[i]:
+            if not passable[i]:
                 table.append(())
                 continue
             x = i % w
             nbrs = []
-            if i >= w and is_open[i - w]:
+            if i >= w and passable[i - w]:
                 nbrs.append(i - w)
-            if x + 1 < w and is_open[i + 1]:
+            if x + 1 < w and passable[i + 1]:
                 nbrs.append(i + 1)
-            if i + w < size and is_open[i + w]:
+            if i + w < size and passable[i + w]:
                 nbrs.append(i + w)
-            if x > 0 and is_open[i - 1]:
+            if x > 0 and passable[i - 1]:
                 nbrs.append(i - 1)
             table.append(tuple(nbrs))
         return tuple(table)
@@ -257,11 +245,11 @@ class GridMap:
         if sums is None:
             # sums[y * stride + x] counts the walls left of x and above y.
             sums = array("i", [0]) * (stride * (self.height + 1))
-            is_open = self._open
+            passable = self._open
             for y in range(self.height):
                 row = 0
                 for x in range(self.width):
-                    row += not is_open[y * self.width + x]
+                    row += not passable[y * self.width + x]
                     k = (y + 1) * stride + x + 1
                     sums[k] = sums[k - stride] + row
             self._wall_sums = sums
@@ -371,28 +359,7 @@ def parse_map(text: str, legend: dict[str, tuple[str, str]] | None = None) -> Gr
     return GridMap(width, len(lines), cells, roles)
 
 
-# -- pathfinding / perception ------------------------------------------
-
-
-def shortest_path(grid: GridMap, origin: Position, goal: Position) -> list[Position]:
-    """Minimum-length 4-connected path, origin and goal inclusive.
-
-    Ties between equal-length paths are broken by the fixed neighbor
-    order (up, right, down, left), so results are replay-stable.  The
-    number of steps is ``len(path) - 1``.
-    """
-    for pos in (origin, goal):
-        if not grid.in_bounds(pos):
-            raise MapError(f"position {pos} out of bounds")
-        if not grid.is_open(pos):
-            raise MapError(f"position {pos} is a wall")
-    pos = Position(*origin)
-    goal = Position(*goal)
-    path = [pos]
-    for _ in range(grid.distance(pos, goal)):
-        pos = grid.step_toward_cell(pos, goal)
-        path.append(pos)
-    return path
+# -- perception --------------------------------------------------------
 
 
 def ray_cells(a: Position, b: Position) -> Iterator[Position]:

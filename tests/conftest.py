@@ -17,7 +17,7 @@ from ecqsim.events import (
     DETECTION, GUIDANCE_END, GUIDANCE_START, INTERVENTION_FAIL, NURSE_CALLED,
     RESPONSE_START, EventLog,
 )
-from ecqsim.grid import parse_map
+from ecqsim.grid import WALL, MapError, Position, parse_map
 from ecqsim.scenario import ScenarioTemplate, load_scenario
 
 CORRIDOR_LEGEND = {
@@ -42,6 +42,32 @@ def bfs_oracle(grid, start, goal):
                 seen.add((nx, ny))
                 queue.append(((nx, ny), d + 1))
     return None
+
+
+def is_open(grid, pos):
+    """Whether ``pos`` is floor rather than wall."""
+    return grid.cells[pos.y * grid.width + pos.x] != WALL
+
+
+def shortest_path(grid, origin, goal):
+    """Minimum-length 4-connected path, origin and goal inclusive.
+
+    It walks ``GridMap.step_toward_cell``, so ties between equal-length
+    paths break in the fixed neighbour order (up, right, down, left) and
+    results are replay-stable.  The number of steps is ``len(path) - 1``.
+    """
+    for pos in (origin, goal):
+        if not grid.in_bounds(pos):
+            raise MapError(f"position {pos} out of bounds")
+        if not is_open(grid, pos):
+            raise MapError(f"position {pos} is a wall")
+    pos = Position(*origin)
+    goal = Position(*goal)
+    path = [pos]
+    for _ in range(grid.distance(pos, goal)):
+        pos = grid.step_toward_cell(pos, goal)
+        path.append(pos)
+    return path
 
 
 def reference_run(scenario):
@@ -142,7 +168,7 @@ def make_pwd(grid, *, seed=1, schedule=(), p_d=0.0, p_i=0.2, p_noise=0.0,
     """A resident at home; without ``watch`` it wears a disabled one."""
     return PwDAgent(
         id=pwd_id, home=home, schedule=list(schedule), p_d=p_d, p_i=p_i,
-        p_noise=p_noise, p_forget=p_forget, position=grid.only_cell(home),
+        p_noise=p_noise, p_forget=p_forget, position=grid.locations[home][0],
         disorient_rng=derive_stream(seed, pwd_id, "disorient"),
         noise_rng=derive_stream(seed, pwd_id, "noise"),
         false_goal_rng=derive_stream(seed, pwd_id, "false_goal"),

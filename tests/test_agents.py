@@ -4,7 +4,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bfs_oracle, corridor_grid, make_pwd, make_watch
+from conftest import bfs_oracle, corridor_grid, is_open, make_pwd, make_watch
 
 from ecqsim.agents import (
     Appointment, Call, NurseAgent, PwDAgent, WorldContext,
@@ -111,7 +111,7 @@ def test_false_goal_resample_period():
         {"h": ("home", "pwd_home"), "a": ("s1", "appointment_site"),
          "b": ("s2", "appointment_site"), "c": ("s3", "appointment_site")})
     pwd = make_pwd(grid, schedule=[Appointment("s3", 0, 0)], p_d=1.0)
-    home = grid.only_cell("home")
+    home = grid.locations["home"][0]
     onset = None
     goals = []
     for tick in range(0, 90):
@@ -290,7 +290,7 @@ def make_world(pwds, nurses):
 
 def make_nurse(nurse_id="N1", pos=None):
     return NurseAgent(id=nurse_id, base="base", radius=5.0,
-                      position=pos or OPEN_ROOM.only_cell("base"))
+                      position=pos or OPEN_ROOM.locations["base"][0])
 
 
 def traveling_pwd(pwd_id, pos, seed=1):
@@ -311,7 +311,7 @@ def test_idle_nurse_stays_inactive_without_disorientation():
         nurse_step(nurse, ctx, tick, events)
         assert events == []
         assert nurse.state == 0
-        assert nurse.position == OPEN_ROOM.only_cell("base")
+        assert nurse.position == OPEN_ROOM.locations["base"][0]
 
 
 def test_response_and_guidance_timing():
@@ -393,7 +393,7 @@ def test_sight_scan_matches_naive_scan(case):
     step = nurse_cell if d == 0 else next(
         c for c in ((x, y - 1), (x + 1, y), (x, y + 1), (x - 1, y))
         if 0 <= c[0] < grid.width and 0 <= c[1] < grid.height
-        and grid.is_open(Position(*c)) and bfs_oracle(grid, c, base) == d - 1)
+        and is_open(grid, Position(*c)) and bfs_oracle(grid, c, base) == d - 1)
     assert nurse.position == step
 
 
@@ -429,7 +429,7 @@ def test_guided_walk_reaches_goal_and_ends():
     events = []
     nurse_step(nurse, ctx, 1, events)  # same cell: guidance starts at once
     assert [e.kind for e in events] == [GUIDANCE_START]
-    goal_cells = set(OPEN_ROOM.cells_of(pwd.trip.goal))
+    goal_cells = set(OPEN_ROOM.locations[pwd.trip.goal])
     all_events = []
     for tick in range(2, 40):
         nurse_step(nurse, ctx, tick, all_events)
@@ -510,7 +510,7 @@ def naive_assign_calls(ctx, tick, events):
 
 
 OPEN_CELLS = [Position(x, y) for y in range(OPEN_ROOM.height)
-              for x in range(OPEN_ROOM.width) if OPEN_ROOM.is_open(Position(x, y))]
+              for x in range(OPEN_ROOM.width) if is_open(OPEN_ROOM, Position(x, y))]
 
 
 @st.composite
@@ -595,7 +595,7 @@ def test_displaced_nurse_walks_back_to_base():
     nurse = make_nurse("N1", Position(8, 1))
     pwd = make_pwd(OPEN_ROOM)  # oriented, nothing to do
     ctx = make_world([pwd], [nurse])
-    base = OPEN_ROOM.only_cell("base")
+    base = OPEN_ROOM.locations["base"][0]
     steps = 0
     while nurse.position != base:
         nurse_step(nurse, ctx, steps, [])

@@ -285,6 +285,22 @@ def test_log_roundtrip_preserves_metrics(demo_loaded):
     assert build_report(parsed) == build_report(log)
 
 
+@pytest.mark.parametrize("pwd_id, nurse_id", [("--5", "N1"), ("007", "01")])
+def test_log_roundtrip_keeps_ids_that_read_like_integers(demo_loaded, pwd_id, nurse_id):
+    # A log that ``ecqsim run --out`` writes reads back byte for byte, also
+    # when an id in a payload is no integer's own spelling.
+    scenario = small_scenario(demo_loaded=demo_loaded, p_d=1.0, seed=5,
+                              watch=WatchConfig(enabled=True, p_detect=1.0, n_help=0))
+    scenario.pwds[0] = replace(scenario.pwds[0], id=pwd_id)
+    scenario.nurses[0] = replace(scenario.nurses[0], id=nurse_id)
+    log = run_simulation(scenario)
+    text = log.to_text()
+    assert f",pwd={pwd_id}," in text and f",{nurse_id}," in text
+    parsed = EventLog.from_text(text)
+    assert parsed.to_text() == text
+    assert build_report(parsed) == build_report(log)
+
+
 def _truncate_header(lines):
     return lines[:3]
 

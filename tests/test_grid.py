@@ -4,11 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bfs_oracle
+from conftest import bfs_oracle, is_open, shortest_path
 
-from ecqsim.grid import (
-    MapError, Position, line_of_sight, parse_map, ray_cells, shortest_path,
-)
+from ecqsim.grid import MapError, Position, line_of_sight, parse_map, ray_cells
 
 
 def random_map(rng, width=20, height=20, wall_share=0.2):
@@ -69,7 +67,7 @@ def test_open_room_manhattan():
     assert path[0] == Position(0, 0) and path[-1] == Position(3, 4)
     for a, b in zip(path, path[1:]):
         assert abs(a.x - b.x) + abs(a.y - b.y) == 1
-        assert grid.is_open(b)
+        assert is_open(grid, b)
 
 
 def test_identity_path():
@@ -88,7 +86,7 @@ def test_paths_match_bfs_oracle_on_random_maps():
     for _ in range(100):
         grid = random_map(rng)
         cells = [Position(x, y) for y in range(grid.height)
-                 for x in range(grid.width) if grid.is_open(Position(x, y))]
+                 for x in range(grid.width) if is_open(grid, Position(x, y))]
         pairs = [(rng.choice(cells), rng.choice(cells)) for _ in range(5)]
         for a, b in pairs:
             expected = bfs_oracle(grid, a, b)
@@ -103,7 +101,7 @@ def test_path_symmetry_and_determinism():
     rng = random.Random(77)
     grid = random_map(rng, 15, 15)
     cells = [Position(x, y) for y in range(15) for x in range(15)
-             if grid.is_open(Position(x, y))]
+             if is_open(grid, Position(x, y))]
     for _ in range(30):
         a, b = rng.choice(cells), rng.choice(cells)
         try:
@@ -121,7 +119,7 @@ def test_distance_fields_match_path_lengths():
     rng = random.Random(5)
     grid = random_map(rng, 12, 12, 0.25)
     cells = [Position(x, y) for y in range(12) for x in range(12)
-             if grid.is_open(Position(x, y))]
+             if is_open(grid, Position(x, y))]
     for _ in range(20):
         a, b = rng.choice(cells), rng.choice(cells)
         if bfs_oracle(grid, a, b) is not None:
@@ -172,9 +170,9 @@ def oracle_step(dist, pos):
 def check_resumed_queries(grid, target, origins):
     """Every query answer equals the one a full oracle field gives."""
     cells = [(x, y) for y in range(grid.height) for x in range(grid.width)
-             if grid.is_open(Position(x, y))]
+             if is_open(grid, Position(x, y))]
     to_cell = {c: bfs_oracle(grid, c, target) for c in cells}
-    label_cells = grid.cells_of("lab")
+    label_cells = grid.locations["lab"]
     to_label = {c: min((d for d in (bfs_oracle(grid, c, tuple(p)) for p in label_cells)
                         if d is not None), default=None) for c in cells}
     goal = Position(*target)
@@ -227,7 +225,7 @@ def test_resumed_fields_match_full_fields(case):
 def oracle_field(grid, goal_cells):
     """Full distance field toward the nearest of ``goal_cells``, by cell."""
     cells = [(x, y) for y in range(grid.height) for x in range(grid.width)
-             if grid.is_open(Position(x, y))]
+             if is_open(grid, Position(x, y))]
     field = {}
     for c in cells:
         found = [d for d in (bfs_oracle(grid, c, tuple(g)) for g in goal_cells)
@@ -245,7 +243,7 @@ def test_steps_match_a_fresh_descent(case):
     text, target, origins = case
     grid = parse_map(text, {"L": ("lab", "appointment_site")})
     to_cell = oracle_field(grid, [target])
-    to_label = oracle_field(grid, grid.cells_of("lab"))
+    to_label = oracle_field(grid, grid.locations["lab"])
     for origin in origins:
         pos = Position(*origin)
         if origin in to_cell:

@@ -105,6 +105,9 @@ def quartiles(values: list[float]) -> list[float]:
 
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
+    if args.pairs < 1:
+        print(f"error: --pairs must be at least 1, got {args.pairs}", file=sys.stderr)
+        return 2
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, tree in trees.items():
         if not (tree / "perfbench" / "run.py").is_file():
