@@ -36,7 +36,7 @@ from .events import (
     RESPONSE_START, TRIP_END, TRIP_START, Event,
     NURSE_GUIDING, NURSE_INACTIVE, NURSE_RESPONDING,
 )
-from .grid import GridMap, Position, line_of_sight
+from .grid import ROLE_APPOINTMENT_SITE, GridMap, Position, line_of_sight
 
 # Disoriented agents re-pick their mistaken destination this often.
 FALSE_GOAL_PERIOD = 20
@@ -115,7 +115,6 @@ class PwDAgent(PwDConfig):
     false_goal_rng: random.Random
     forget_rng: random.Random
     watch: SmartWatch  # disabled when the scenario has no watch
-    site_labels: tuple[str, ...] = ()
     mode: int = PWD_IDLE
     disoriented: bool = False
     false_goal: str | None = None
@@ -185,7 +184,8 @@ def _reorient(pwd: PwDAgent) -> None:
 
 
 def _sample_false_goal(pwd: PwDAgent, grid: GridMap, true_goal: str) -> str:
-    candidates = [label for label in pwd.site_labels if label != true_goal]
+    candidates = [label for label in grid.labels_with_role(ROLE_APPOINTMENT_SITE)
+                  if label != true_goal]
     if not candidates:
         candidates = [label for label in sorted(grid.locations) if label != true_goal]
     return candidates[pwd.false_goal_rng.randrange(len(candidates))]
@@ -350,13 +350,13 @@ def _stale_reason(call: Call) -> str | None:
     return None
 
 
-def _live_call_target(call: Call, tick: int,
+def _live_call_target(call: Call, phase: str, tick: int,
                       events: list[Event]) -> PwDAgent | None:
-    """The resident a queued call is for, or None after dropping it as stale."""
+    """The resident a queued call is for, or None after dropping it as stale in ``phase``."""
     reason = _stale_reason(call)
     if reason is None:
         return call.pwd
-    events.append(Event(tick, "B", CALL_DROPPED, call.pwd.id,
+    events.append(Event(tick, phase, CALL_DROPPED, call.pwd.id,
                         {"episode": call.episode, "reason": reason}))
     return None
 
@@ -392,7 +392,7 @@ def assign_calls(ctx: WorldContext, tick: int, events: list[Event]) -> None:
     pending: list[Call] = []
     while ctx.queue:
         call = ctx.queue.popleft()
-        pwd = _live_call_target(call, tick, events)
+        pwd = _live_call_target(call, "B", tick, events)
         if pwd is None:
             continue
         if not free:
@@ -413,7 +413,7 @@ def _release(nurse: NurseAgent, ctx: WorldContext, tick: int,
     nurse.call_episode = None
     nurse.state = NURSE_INACTIVE
     while ctx.queue:
-        pwd = _live_call_target(ctx.queue.popleft(), tick, events)
+        pwd = _live_call_target(ctx.queue.popleft(), "C", tick, events)
         if pwd is not None:
             _begin_response(nurse, pwd, "call", "C", tick, events)
             return

@@ -9,8 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 validation or grid-spec failure, 3 I/O
 failure.  Commands return nothing and raise their failures; ``main``
-alone returns the exit code, mapping every failure to its code and
-printing its diagnostics to stderr, one per line, prefixed ``error:``.
+alone returns the exit code, 2 for a ``ScenarioError`` and 3 for an
+``OSError``, and prints the diagnostics to stderr, one per line,
+prefixed ``error:``.
 Seed precedence: scenario file < ECQ_SEED environment variable <
 --seed flag.
 """
@@ -24,8 +25,6 @@ import time
 from importlib import resources
 from pathlib import Path
 
-import yaml
-
 from .engine import ScenarioError, run_simulation
 from .experiment import (
     DEFAULT_REPLICATIONS, Strategy, SweepConfig, aggregate, aggregates_to_csv,
@@ -38,10 +37,6 @@ from .scenario import ScenarioTemplate, build_run, load_scenario
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_IO = 3
-
-
-class _Failure(Exception):
-    """Raised with ``(messages, code)``: ``main`` prints the lines, returns the code."""
 
 
 def _write_all(outputs: list[tuple[str, str]]) -> None:
@@ -61,7 +56,7 @@ def _write_all(outputs: list[tuple[str, str]]) -> None:
     except OSError as exc:
         for temp in temps:
             temp.unlink(missing_ok=True)
-        raise _Failure([f"cannot write {path}: {exc.strerror or exc}"], EXIT_IO) from exc
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _pick_seed(template: ScenarioTemplate, flag_seed: int | None) -> int:
@@ -139,11 +134,11 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     template = load_scenario(args.scenario)
     seed = _pick_seed(template, args.seed)
     if not args.paper_grid and not args.grid:
-        raise _Failure(["need --paper-grid and/or --grid"], EXIT_INVALID)
+        raise ScenarioError(["need --paper-grid and/or --grid"])
     try:
         overrides = _parse_grid_spec(args.grid or "")
     except ValueError as exc:
-        raise _Failure([str(exc)], EXIT_INVALID) from exc
+        raise ScenarioError([str(exc)]) from exc
 
     # With --paper-grid, axes not named in --grid keep SweepConfig's
     # defaults; without it, the scenario's own values.
@@ -151,8 +146,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     if not args.paper_grid:
         roster_p_d = tuple(sorted({p.p_d for p in template.pwds}))
         if "p_d_levels" not in overrides and len(roster_p_d) != 1:
-            raise _Failure(["residents disagree on p_d; give p_d=... in --grid"],
-                           EXIT_INVALID)
+            raise ScenarioError(["residents disagree on p_d; give p_d=... in --grid"])
         axes = {
             "p_d_levels": roster_p_d,
             "p_detect_levels": (template.watch.p_detect,),
@@ -234,13 +228,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.func(args)
         return EXIT_OK
-    except _Failure as exc:
-        messages, code = exc.args
     except ScenarioError as exc:
         messages, code = exc.problems, EXIT_INVALID
-    except yaml.YAMLError as exc:
-        messages = ["bad scenario file: " + " ".join(str(exc).split())]
-        code = EXIT_INVALID
     except FileNotFoundError as exc:
         messages, code = [f"cannot read {exc.filename}"], EXIT_IO
     except OSError as exc:

@@ -95,10 +95,9 @@ class Scenario:
         for agent_id in ids:
             if not agent_id or any(c in agent_id for c in ", \t\n"):
                 problems.append(f"invalid agent id {agent_id!r}")
-        locations = self.grid.locations
-        roles = self.grid.roles
+        labels = self.grid.labels_with_role
         for pwd in self.pwds:
-            if pwd.home not in locations or roles.get(pwd.home) != ROLE_PWD_HOME:
+            if pwd.home not in labels(ROLE_PWD_HOME):
                 problems.append(f"{pwd.id}: home {pwd.home!r} is not a pwd_home location")
             for name, value in (("p_d", pwd.p_d), ("p_i", pwd.p_i),
                                 ("p_noise", pwd.p_noise), ("p_forget", pwd.p_forget)):
@@ -106,8 +105,7 @@ class Scenario:
                     problems.append(f"{pwd.id}: {name}={value} outside [0, 1]")
             last_end = None
             for i, appt in enumerate(pwd.schedule):
-                if appt.location not in locations or \
-                        roles.get(appt.location) != ROLE_APPOINTMENT_SITE:
+                if appt.location not in labels(ROLE_APPOINTMENT_SITE):
                     problems.append(
                         f"{pwd.id}: appointment {i} site {appt.location!r} "
                         "is not an appointment_site location")
@@ -126,7 +124,7 @@ class Scenario:
         if watch.intervention_interval < 1:
             problems.append("watch intervention_interval must be >= 1")
         for nurse in self.nurses:
-            if nurse.base not in locations or roles.get(nurse.base) != ROLE_NURSE_BASE:
+            if nurse.base not in labels(ROLE_NURSE_BASE):
                 problems.append(f"{nurse.id}: base {nurse.base!r} is not a nurse_base location")
             if not nurse.radius >= 0:  # also rejects NaN
                 problems.append(f"{nurse.id}: radius must be >= 0")
@@ -145,7 +143,6 @@ def _agent_id(agent) -> str:
 def _build_agents(scenario: Scenario) -> tuple[list[PwDAgent], list[NurseAgent]]:
     grid = scenario.grid
     seed = scenario.seed
-    sites = tuple(grid.labels_with_role(ROLE_APPOINTMENT_SITE))
     watch_fields = _config_fields(scenario.watch)
 
     pwds: list[PwDAgent] = []
@@ -160,8 +157,7 @@ def _build_agents(scenario: Scenario) -> tuple[list[PwDAgent], list[NurseAgent]]
             disorient_rng=derive_stream(seed, cfg.id, "disorient"),
             noise_rng=derive_stream(seed, cfg.id, "noise"),
             false_goal_rng=derive_stream(seed, cfg.id, "false_goal"),
-            forget_rng=derive_stream(seed, cfg.id, "forget"),
-            site_labels=sites, watch=watch))
+            forget_rng=derive_stream(seed, cfg.id, "forget"), watch=watch))
 
     nurses: list[NurseAgent] = []
     base_counts: dict[str, int] = {}

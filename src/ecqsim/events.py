@@ -7,11 +7,12 @@ spent in each mode or state; metrics are computed from the log alone.
 The text form is newline-delimited: header lines, per-agent tally
 lines, then one ``tick,phase,kind,subject,k=v,...`` line per event.
 Field order is fixed, so identical runs serialize to identical bytes.
+A payload value's type follows from its key: ``nominal``, ``taken``,
+``fails`` and ``appointment`` hold integers, every other key text.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 TRIP_START = "TripStart"
@@ -28,8 +29,8 @@ GUIDANCE_END = "GuidanceEnd"
 REMINDER = "Reminder"
 # Kinds whose subject is a nurse; every other kind's is a resident.
 NURSE_EVENTS = frozenset((RESPONSE_START, GUIDANCE_START, GUIDANCE_END))
-# A payload value reads as an integer only in str()'s spelling ("007" stays text).
-_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
+# Payload keys whose values are integers; every other value is text.
+_INT_KEYS = frozenset(("nominal", "taken", "fails", "appointment"))
 
 # PwD modes / nurse states as small ints; index = serialized code.
 PWD_IDLE, PWD_TRAVELING, PWD_AT_APPOINTMENT, PWD_GUIDED = range(4)
@@ -60,7 +61,7 @@ class Event:
         payload: dict[str, object] = {}
         for item in parts[4:]:
             key, _, value = item.partition("=")
-            payload[key] = int(value) if _INT_RE.fullmatch(value) else value
+            payload[key] = int(value) if key in _INT_KEYS else value
         return cls(int(parts[0]), parts[1], parts[2], parts[3], payload)
 
 

@@ -84,6 +84,9 @@ class GridMap:
         self.locations: dict[str, tuple[Position, ...]] = {
             label: tuple(cells_) for label, cells_ in locations.items()
         }
+        # The placed labels of each role, sorted.
+        self._role_labels = {role: tuple(sorted(
+            label for label in locations if self.roles.get(label) == role)) for role in ROLES}
 
         # Traversability flags, row-major.
         self._open = bytes(0 if c == WALL else 1 for c in self.cells)
@@ -128,9 +131,8 @@ class GridMap:
     def in_bounds(self, pos: Position) -> bool:
         return 0 <= pos.x < self.width and 0 <= pos.y < self.height
 
-    def labels_with_role(self, role: str) -> list[str]:
-        return sorted(label for label, r in self.roles.items()
-                      if r == role and label in self.locations)
+    def labels_with_role(self, role: str) -> tuple[str, ...]:
+        return self._role_labels[role]
 
     # -- distance fields -----------------------------------------------
 

@@ -142,8 +142,8 @@ def load_scenario(path: str | Path) -> ScenarioTemplate:
     """Parse and fully validate a scenario file.
 
     Raises ScenarioError with every collected diagnostic (a file that is
-    not UTF-8 is one), or OSError if the scenario or map file cannot be
-    read.
+    not UTF-8 text or not YAML is one), or OSError if the scenario or
+    map file cannot be read.
     """
     path = Path(path)
     # libyaml's loader when PyYAML was built with it; same result, faster.
@@ -153,6 +153,8 @@ def load_scenario(path: str | Path) -> ScenarioTemplate:
             raw = yaml.load(stream, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except UnicodeDecodeError as exc:
         raise ScenarioError([f"{path} is not UTF-8 text"]) from exc
+    except yaml.YAMLError as exc:
+        raise ScenarioError(["bad scenario file: " + " ".join(str(exc).split())]) from exc
     problems: list[str] = []
     if not isinstance(raw, dict):
         raise ScenarioError(["scenario file must be a mapping"])

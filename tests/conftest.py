@@ -173,7 +173,6 @@ def make_pwd(grid, *, seed=1, schedule=(), p_d=0.0, p_i=0.2, p_noise=0.0,
         noise_rng=derive_stream(seed, pwd_id, "noise"),
         false_goal_rng=derive_stream(seed, pwd_id, "false_goal"),
         forget_rng=derive_stream(seed, pwd_id, "forget"),
-        site_labels=tuple(grid.labels_with_role("appointment_site")),
         watch=watch or make_watch(pwd_id, seed=seed, enabled=False),
     )
 
@@ -248,4 +247,42 @@ def facilities(draw):
         # At most half the spacing generate_schedule puts between starts,
         # so appointments neither overlap nor overrun the horizon.
         appointment_duration=draw(st.integers(0, horizon // (2 * (count + 1)))),
+        seed=draw(st.integers(0, 2**32)))
+
+
+def corridor_template(row, *, p_d, p_noise, radii, horizon, count, seed):
+    """A single-row corridor whose watches call a nurse on detection.
+
+    ``row`` holds the nurses' base ``N``, homes ``a``-``d`` and sites
+    ``A``/``B`` between walls.  Visits take no time, so a resident can
+    arrive and leave, lost again, in one tick while its first call waits.
+    """
+    homes = sorted(g for g in row if g.islower())
+    legend = {"N": ("base", "nurse_base")}
+    legend.update((g, (f"home_{g}", "pwd_home")) for g in homes)
+    legend.update((g, (f"site_{g}", "appointment_site")) for g in "AB" if g in row)
+    wall = "#" * len(row)
+    grid = parse_map(f"{wall}\n{row}\n{wall}", legend)
+    return ScenarioTemplate(
+        grid=grid,
+        pwds=[PwDConfig(id=f"P{k}", home=f"home_{g}", p_d=p_d, p_noise=p_noise)
+              for k, g in enumerate(homes)],
+        nurses=[NurseConfig(id=f"N{k}", base="base", radius=r)
+                for k, r in enumerate(radii)],
+        watch=WatchConfig(p_detect=1.0, n_help=0), horizon=horizon,
+        appointments_per_pwd=count, appointment_duration=0, seed=seed)
+
+
+@st.composite
+def corridors(draw):
+    """A dense ``corridor_template``: calls, releases and stale calls crowd
+    together, as one to three nurses share a row of at most nine cells."""
+    n_sites = draw(st.integers(1, 2))
+    glyphs = ["N"] + list("abcd"[:draw(st.integers(1, 4))]) + list("AB"[:n_sites]) \
+        + ["."] * draw(st.integers(0, 2))
+    return corridor_template(
+        "#" + "".join(draw(st.permutations(glyphs))) + "#",
+        p_d=draw(PROBABILITIES), p_noise=draw(PROBABILITIES),
+        radii=draw(st.lists(RADII, min_size=1, max_size=3)),
+        horizon=draw(st.integers(50, 400)), count=draw(st.integers(1, n_sites)),
         seed=draw(st.integers(0, 2**32)))

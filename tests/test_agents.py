@@ -650,3 +650,24 @@ def test_release_clears_both_links():
     nurse_step(nurse, ctx, 1, [])
     assert nurse.state == 0
     assert pwd.nurse is None and nurse.target is None
+
+
+def test_drop_at_release_is_stamped_phase_c():
+    # A nurse released in phase C drops the stale calls it meets in phase C.
+    nurse = make_nurse(pos=Position(2, 3))
+    pwd = traveling_pwd("P1", Position(2, 3))
+    other = traveling_pwd("P2", Position(5, 2), seed=2)
+    other.disoriented = False  # recovered after calling
+    ctx = make_world([pwd, other], [nurse])
+    nurse_step(nurse, ctx, 0, [])
+    assert nurse.target is pwd
+    ctx.queue.append(Call(other, "P2.e1"))
+    events = []
+    for tick in range(1, 40):
+        nurse_step(nurse, ctx, tick, events)
+        if events[-1:] and events[-1].kind == CALL_DROPPED:
+            break
+    assert [(e.phase, e.kind, e.subject) for e in events[-2:]] == [
+        ("C", GUIDANCE_END, "N1"), ("C", CALL_DROPPED, "P2")]
+    assert events[-1].payload == {"episode": "P2.e1", "reason": "resolved"}
+    assert not ctx.queue and nurse.state == NURSE_INACTIVE

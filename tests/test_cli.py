@@ -371,10 +371,12 @@ def test_sweep_output_into_missing_directory_is_io_error(tmp_path, capsys):
 def test_sweep_failed_write_leaves_no_output(tmp_path, capsys):
     path = small_demo(tmp_path)
     rows = tmp_path / "rows.csv"
+    agg = tmp_path / "nodir" / "agg.csv"
     assert main(["sweep", str(path), "--grid", "p_d=0;strategy=nowatch",
                  "--reps", "1", "--jobs", "1", "--out", str(rows),
-                 "--aggregate", str(tmp_path / "nodir" / "agg.csv")]) == 3
-    assert capsys.readouterr().err.splitlines()[-1].startswith("error:")
+                 "--aggregate", str(agg)]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        f"error: cannot write {agg}: No such file or directory"
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "demo_map.txt", "demo_scenario.yaml"]
 
@@ -383,11 +385,12 @@ def test_run_failed_write_keeps_previous_log(tmp_path, capsys):
     path = small_demo(tmp_path)
     log = tmp_path / "run.log"
     log.write_text("previous\n")
+    report = tmp_path / "nodir" / "report"
     capsys.readouterr()
-    assert main(["run", str(path), "--out", str(log),
-                 "--report", str(tmp_path / "nodir" / "report")]) == 3
+    assert main(["run", str(path), "--out", str(log), "--report", str(report)]) == 3
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error:")
+    assert out == ""
+    assert err.splitlines() == [f"error: cannot write {report}: No such file or directory"]
     assert log.read_text() == "previous\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "demo_map.txt", "demo_scenario.yaml", "run.log"]

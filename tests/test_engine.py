@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
-    check_causal_ordering, corridor_grid, facilities, reference_run,
+    check_causal_ordering, corridor_grid, corridor_template, corridors,
+    facilities, reference_run,
 )
 
 import ecqsim.engine
@@ -14,7 +15,7 @@ from ecqsim.engine import (
     derive_stream, run_simulation,
 )
 from ecqsim.agents import WATCH_AWAITING_NURSE, Appointment
-from ecqsim.grid import parse_map
+from ecqsim.grid import GridMap, parse_map
 from ecqsim.events import (
     DETECTION, DISORIENTATION_START, EventLog, GUIDANCE_END, GUIDANCE_START,
     NURSE_CALLED, NURSE_GUIDING, NURSE_INACTIVE, PWD_AT_APPOINTMENT,
@@ -210,9 +211,8 @@ def test_tally_conservation_and_event_order(demo_loaded):
     check_causal_ordering(log)
 
 
-@settings(max_examples=200, deadline=None)
-@given(facilities())
-def test_whole_run_invariants_on_generated_facilities(template):
+def check_whole_run(template):
+    """The invariants of the run ``ecqsim run`` makes of ``template``."""
     scenario = single_run(template)
     log = run_simulation(scenario)
     text = log.to_text()
@@ -221,8 +221,11 @@ def test_whole_run_invariants_on_generated_facilities(template):
         assert sum(log.pwd_mode_counts(agent_id)) == log.horizon
     for agent_id in log.nurse_ids:
         assert sum(log.nurse_state_counts(agent_id)) == log.horizon
-    check_causal_ordering(log)
-    assert build_report(EventLog.from_text(text)) == build_report(log)
+    keys = [(e.tick, PHASE_ORDER[e.phase]) for e in log.events]
+    assert keys == sorted(keys)
+    parsed = EventLog.from_text(text)
+    assert parsed.events == log.events
+    assert build_report(parsed) == build_report(log)
     # A resident is guided from the tick of GuidanceStart up to the tick
     # of GuidanceEnd, or to the horizon.
     guided = dict.fromkeys(log.pwd_ids, 0)
@@ -236,6 +239,37 @@ def test_whole_run_invariants_on_generated_facilities(template):
     for pwd_id, tick in started.items():
         guided[pwd_id] += log.horizon - tick
     assert guided == {p: log.pwd_mode_counts(p)[PWD_GUIDED] for p in log.pwd_ids}
+    return log
+
+
+@settings(max_examples=200, deadline=None)
+@given(facilities())
+def test_whole_run_invariants_on_generated_facilities(template):
+    check_causal_ordering(check_whole_run(template))
+
+
+@settings(max_examples=300, deadline=None)
+@given(corridors())
+def test_whole_run_invariants_on_generated_corridors(template):
+    # Without check_causal_ordering: in a corridor a resident often
+    # arrives while a nurse responds to it and is lost again in the same
+    # tick, and the nurse then guides the new episode under a
+    # ResponseStart that names the old one.
+    check_whole_run(template)
+
+
+def test_drop_at_release_is_stamped_phase_c():
+    # At tick 53 P0 arrives and leaves again, lost, so its second call
+    # waits behind its first.  N0's release in phase C takes the first;
+    # N1's release later in that phase meets the second, now a duplicate.
+    log = run_simulation(single_run(corridor_template(
+        "#cdNaABb.#", p_d=1.0, p_noise=0.0, radii=(0, 0), horizon=100,
+        count=1, seed=3)))
+    lines = log.to_text().splitlines()
+    end = lines.index("53,C,GuidanceEnd,N1,pwd=P1,episode=P1.e2")
+    assert lines[end + 1] == "53,C,CallDropped,P0,episode=P0.e2,reason=duplicate"
+    keys = [(e.tick, PHASE_ORDER[e.phase]) for e in log.events]
+    assert keys == sorted(keys)
 
 
 def test_stream_independence_roster_change(demo_loaded):
@@ -285,18 +319,31 @@ def test_log_roundtrip_preserves_metrics(demo_loaded):
     assert build_report(parsed) == build_report(log)
 
 
-@pytest.mark.parametrize("pwd_id, nurse_id", [("--5", "N1"), ("007", "01")])
-def test_log_roundtrip_keeps_ids_that_read_like_integers(demo_loaded, pwd_id, nurse_id):
-    # A log that ``ecqsim run --out`` writes reads back byte for byte, also
-    # when an id in a payload is no integer's own spelling.
-    scenario = small_scenario(demo_loaded=demo_loaded, p_d=1.0, seed=5,
+def relabel(grid, old, new):
+    """``grid`` with label ``old`` renamed ``new``."""
+    cells = [new if cell == old else cell for cell in grid.cells]
+    roles = {new if label == old else label: role for label, role in grid.roles.items()}
+    return GridMap(grid.width, grid.height, cells, roles)
+
+
+@pytest.mark.parametrize("pwd_id, nurse_id, site", [
+    ("--5", "N1", "05"), ("007", "01", "007"), ("5", "N1", "5"),
+], ids=["--5-N1", "007-01", "5-5"])
+def test_log_roundtrip_keeps_ids_that_read_like_integers(demo_loaded, pwd_id,
+                                                         nurse_id, site):
+    # A log that ``ecqsim run --out`` writes reads back as it was, also
+    # when an id or a label in a payload is spelt like an integer.
+    template = replace(demo_loaded, grid=relabel(demo_loaded.grid, "dining", site))
+    scenario = small_scenario(demo_loaded=template, p_d=1.0, seed=5,
                               watch=WatchConfig(enabled=True, p_detect=1.0, n_help=0))
     scenario.pwds[0] = replace(scenario.pwds[0], id=pwd_id)
     scenario.nurses[0] = replace(scenario.nurses[0], id=nurse_id)
     log = run_simulation(scenario)
     text = log.to_text()
     assert f",pwd={pwd_id}," in text and f",{nurse_id}," in text
+    assert f"goal={site}," in text
     parsed = EventLog.from_text(text)
+    assert parsed.events == log.events
     assert parsed.to_text() == text
     assert build_report(parsed) == build_report(log)
 
@@ -338,6 +385,11 @@ def _trailing_lines(lines):
     return lines + lines[-2:]
 
 
+def _untyped_taken(lines):
+    idx = next(i for i, line in enumerate(lines) if ",taken=" in line)
+    return lines[:idx] + [lines[idx].rsplit("=", 1)[0] + "=x"] + lines[idx + 1:]
+
+
 def _resubject_first(kind, subject):
     """Give the first ``kind`` event line a different subject."""
     def corrupt(lines):
@@ -357,11 +409,12 @@ def _resubject_first(kind, subject):
     (_bare_horizon, "invalid literal"),
     (_swapped_header, "log header is not horizon, seed"),
     (_trailing_lines, "2 lines after the last of"),
+    (_untyped_taken, "invalid literal for int"),
     (_resubject_first(TRIP_START, "P9"), "subject 'P9' is not in the pwds header"),
     (_resubject_first(RESPONSE_START, "P1"), "subject 'P1' is not in the nurses header"),
 ], ids=["truncated-header", "truncated-events", "missing-tally", "short-tally",
         "unbalanced-tally", "bare-horizon", "swapped-header", "trailing-lines",
-        "unknown-subject", "resident-as-nurse"])
+        "non-integer-taken", "unknown-subject", "resident-as-nurse"])
 def test_log_from_text_rejects_corrupt_log(demo_loaded, corrupt, message):
     watch = WatchConfig(enabled=True, p_detect=0.5, n_help=1)
     lines = run_simulation(small_scenario(demo_loaded=demo_loaded, watch=watch,
