@@ -17,10 +17,14 @@ The step functions append :class:`~ecqsim.events.Event` records to the
 list they are given and draw randomness only from the streams attached
 to the agent, so a run is a pure function of (scenario, seed).
 
-The engine's scheduler steps only agents that can act, by three rules
-kept beside the phases whose conditions they restate: ``wake_tick``
-(phase A), ``passive`` (phases A and B) and ``anyone_lost`` (the phase
-C scan).
+The engine's scheduler steps only agents that can act, by rules kept
+beside the phases whose conditions they restate: ``wake_tick`` (phase
+A), ``passive`` (phases A and B) and ``anyone_lost`` (the phase C
+scan).  ``travel_ahead``, ``guide_ahead`` and ``walk_home`` draw a
+private span ahead: ticks in which an agent reads and writes only its
+own state and streams, each tick's draws made in the phases' order.
+Of the phase functions only ``pwd_begin_tick`` reads what a span
+leaves, the onset that ``travel_ahead`` drew.
 """
 
 from __future__ import annotations
@@ -120,10 +124,13 @@ class PwDAgent(PwDConfig):
     false_goal: str | None = None
     resample_tick: int = 0
     trip: Trip | None = None
+    # Leaves the appointment at ``until``; while guided along a span that
+    # guide_ahead drew, GuidanceEnd comes at ``until``.
     until: int = 0
     next_idx: int = 0
     forgot: bool | None = None  # None until drawn for the next appointment
     moved_tick: int = -1
+    onset_due: bool = False  # travel_ahead drew this tick's onset
     trip_seq: int = 0
     episode_seq: int = 0
     episode: str | None = None
@@ -235,7 +242,8 @@ def pwd_begin_tick(pwd: PwDAgent, grid: GridMap, tick: int,
                         appt.duration, events)
 
     if pwd.mode == PWD_TRAVELING and not pwd.disoriented and pwd.p_d > 0:
-        if pwd.disorient_rng.random() < pwd.p_d:
+        if pwd.onset_due or pwd.disorient_rng.random() < pwd.p_d:
+            pwd.onset_due = False
             pwd.episode_seq += 1
             pwd.episode = f"{pwd.id}.e{pwd.episode_seq}"
             pwd.disoriented = True
@@ -262,22 +270,83 @@ def wake_tick(pwd: PwDAgent, horizon: int) -> int:
 
 
 def passive(pwd: PwDAgent, grid: GridMap) -> bool:
-    """Whether phases A and B can do nothing for a travelling or guided resident.
+    """Whether phases A and B can do nothing for a lost traveller.
 
-    A guided resident's nurse moves it until ``GuidanceEnd``.  A lost
-    traveller whose watch is disabled or awaits a nurse draws nothing
-    in phase B, and phase A can only see it arrive, once it stands on
-    its trip's goal.  Such a traveller stays lost until it arrives or a
-    nurse guides it, so a passive resident stays passive until it is
-    travelling on its goal again: it walked there, or ``GuidanceEnd``
-    left it there.
+    A lost traveller whose watch is disabled or awaits a nurse draws
+    nothing in phase B, and phase A can only see it arrive, once it
+    stands on its trip's goal.  Such a traveller stays lost until it
+    arrives or a nurse guides it, so it stays passive until it stands
+    on its goal.
     """
-    if pwd.mode == PWD_GUIDED:
-        return True
     watch = pwd.watch
-    return pwd.disoriented and \
-        (not watch.enabled or watch.phase == WATCH_AWAITING_NURSE) and \
+    return (not watch.enabled or watch.phase == WATCH_AWAITING_NURSE) and \
         not grid.at_label(pwd.position, pwd.trip.goal)
+
+
+def travel_ahead(pwd: PwDAgent, grid: GridMap, tick: int, horizon: int) -> int:
+    """Draw an oriented traveller's ticks after ``tick`` ahead; return its wake tick.
+
+    No phase reads a traveller that is not lost: the sight scan reads
+    lost residents only, and dispatch only call targets.  So each tick
+    until phase A next acts for it is drawn here, the onset draw of
+    phase A and then the noise draw and step of phase D.  The wake tick
+    is the arrival on the trip's goal or the onset, whose draw is left
+    in ``onset_due`` for phase A, or ``horizon`` if neither comes first.
+    """
+    goal = pwd.trip.goal
+    p_d, p_noise = pwd.p_d, pwd.p_noise
+    onset, noise = pwd.disorient_rng.random, pwd.noise_rng.random
+    at_label, step = grid.at_label, grid.step_toward_label
+    pos = pwd.position
+    wake = tick + 1
+    while wake < horizon and not at_label(pos, goal):
+        if p_d > 0 and onset() < p_d:
+            pwd.onset_due = True
+            break
+        if not (p_noise > 0 and noise() < p_noise):
+            pos = step(pos, goal)
+        wake += 1
+    pwd.position = pos
+    return wake
+
+
+def guide_ahead(pwd: PwDAgent, grid: GridMap, tick: int, horizon: int) -> int:
+    """Draw a guidance that began at ``tick`` ahead; return its GuidanceEnd tick.
+
+    Only free nurses are dispatched and only lost residents scanned, so
+    no other agent reads a guided pair.  Each later tick is the guiding
+    nurse's phase C, a noise draw and a label step, up to the step onto
+    the trip's goal; both end there, and phase D leaves the resident be
+    on that tick.  ``horizon`` if the guidance outlasts the run.
+    """
+    goal = pwd.trip.goal
+    p_noise, noise = pwd.p_noise, pwd.noise_rng.random
+    at_label, step = grid.at_label, grid.step_toward_label
+    pos = pwd.position
+    end = tick + 1
+    while end < horizon:
+        if not (p_noise > 0 and noise() < p_noise):
+            pos = step(pos, goal)
+            if at_label(pos, goal):
+                pwd.moved_tick = end
+                break
+        end += 1
+    pwd.position = pwd.nurse.position = pos
+    return end
+
+
+def walk_home(nurse: NurseAgent, grid: GridMap, ticks: int) -> None:
+    """Take an inactive nurse's phase-C steps of ``ticks`` ticks in which no one is lost.
+
+    Its scan finds no one, so each tick is a step toward its base, and
+    on its base it stays.
+    """
+    pos, base = nurse.position, nurse.base
+    for _ in range(ticks):
+        if grid.at_label(pos, base):
+            break
+        pos = grid.step_toward_label(pos, base)
+    nurse.position = pos
 
 
 def pwd_move(pwd: PwDAgent, grid: GridMap, tick: int) -> None:
@@ -488,9 +557,16 @@ def nurse_step(nurse: NurseAgent, ctx: WorldContext, tick: int,
         nurse.position = step
         pwd.moved_tick = tick
         if grid.at_label(step, pwd.trip.goal):
-            events.append(Event(tick, "C", GUIDANCE_END, nurse.id,
-                                {"pwd": pwd.id, "episode": pwd.episode}))
-            pwd.episode = None
-            pwd.mode = PWD_TRAVELING  # arrival is recognized next tick
-            _release(nurse, ctx, tick, events)
+            end_guidance(nurse, ctx, tick, events)
         return
+
+
+def end_guidance(nurse: NurseAgent, ctx: WorldContext, tick: int,
+                 events: list[Event]) -> None:
+    """Phase C for a guiding nurse that has brought its resident to the goal."""
+    pwd = nurse.target
+    events.append(Event(tick, "C", GUIDANCE_END, nurse.id,
+                        {"pwd": pwd.id, "episode": pwd.episode}))
+    pwd.episode = None
+    pwd.mode = PWD_TRAVELING  # arrival is recognized next tick
+    _release(nurse, ctx, tick, events)

@@ -19,6 +19,7 @@ Seed precedence: scenario file < ECQ_SEED environment variable <
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -55,7 +56,8 @@ def _write_all(outputs: list[tuple[str, str]]) -> None:
             temp.replace(path)
     except OSError as exc:
         for temp in temps:
-            temp.unlink(missing_ok=True)
+            with contextlib.suppress(OSError):  # the first failure is the one to report
+                temp.unlink(missing_ok=True)
         raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 

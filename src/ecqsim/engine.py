@@ -21,22 +21,33 @@ same-tick chain detection -> call -> response start is possible by
 construction, which is the normative tick semantics.
 
 Only agents that can act are stepped: next-event time advance, per
-agent.  A travelling or guided resident is awake and runs phases A, B
-and D every tick, unless it is passive (``agents.passive``): guided, or
-lost with a watch that is disabled or already awaits a nurse.  Phases
-A and B can do nothing for a passive resident, so phase E moves it to
-a second list that only phases D and E take, and moves it back, in id
-order, once it is travelling on its trip's goal again; phase A then
-sees the arrival on the next tick.  An idle or dwelling resident draws
-nothing and emits nothing until its wake tick (``agents.wake_tick``),
-so phase E credits its mode up to that tick, capped at the horizon,
-and it sleeps in a heap until then.  Phase C skips an inactive nurse on
-its base while no resident is lost (``agents.anyone_lost``), since its
-scan could find no one.  The next tick is ``tick + 1`` while a resident
-travels or is guided, a call is queued, or a nurse is busy or off its
-base, and otherwise the earliest wake tick.  The every-tick reference
-is ``reference_run`` in the tests: it skips nothing and must produce
-the same log.
+agent.  A lost traveller is awake and runs phases A, B and D every
+tick, unless it is passive (``agents.passive``): its watch is disabled
+or already awaits a nurse.  Phases A and B can do nothing for a passive
+resident, so phase E moves it to a second list that only phases D and E
+take, and moves it back, in id order, once it stands on its trip's goal;
+phase A then sees the arrival on the next tick.  Phase D moves
+travellers only.
+
+Every other resident sleeps in a heap until the tick at which a phase
+next acts for it, and phase E credits its mode up to that tick, capped
+at the horizon.  An idle or dwelling resident draws nothing until its
+wake tick (``agents.wake_tick``).  A traveller that is not lost is
+drawn ahead (``agents.travel_ahead``) to its arrival or its onset,
+which phase A then takes without drawing again.  A resident guided from
+this tick on is drawn ahead with its nurse (``agents.guide_ahead``) to
+the step onto its goal; the nurse is parked until then, emits
+``GuidanceEnd`` in phase C of that tick, in id order, and the resident
+rejoins the second list there.
+
+Phase C skips an inactive nurse on its base while no resident is lost
+(``agents.anyone_lost``), since its scan could find no one.  The next
+tick is ``tick + 1`` while a resident is lost or a call is queued;
+otherwise the clock jumps to the earliest wake tick or guidance end,
+and each inactive nurse takes the steps home of the ticks it skipped
+(``agents.walk_home``).  The every-tick reference is ``reference_run``
+in the tests: it skips nothing, draws nothing ahead and must produce the
+same log.
 """
 
 from __future__ import annotations
@@ -48,10 +59,13 @@ from heapq import heappop, heappush
 
 from .agents import (
     NurseAgent, NurseConfig, PwDAgent, PwDConfig, SmartWatch, WatchConfig,
-    WorldContext, anyone_lost, assign_calls, nurse_step, passive,
-    pwd_begin_tick, pwd_move, wake_tick, watch_step,
+    WorldContext, anyone_lost, assign_calls, end_guidance, guide_ahead,
+    nurse_step, passive, pwd_begin_tick, pwd_move, travel_ahead, wake_tick,
+    walk_home, watch_step,
 )
-from .events import NURSE_INACTIVE, PWD_GUIDED, PWD_TRAVELING, EventLog
+from .events import (
+    NURSE_GUIDING, NURSE_INACTIVE, PWD_GUIDED, PWD_TRAVELING, EventLog,
+)
 from .grid import ROLE_APPOINTMENT_SITE, ROLE_NURSE_BASE, ROLE_PWD_HOME, GridMap
 
 DEFAULT_HORIZON = 10_000
@@ -195,6 +209,11 @@ def run_simulation(scenario: Scenario) -> EventLog:
         if wake < horizon:
             heappush(asleep, (wake, pwd.id, pwd))
 
+    def guide(pwd: PwDAgent, since: int) -> None:
+        """Draw the guidance begun at ``since``; its nurse ends it at ``pwd.until``."""
+        pwd.until = guide_ahead(pwd, grid, since, horizon)
+        pwd_tallies[pwd.id][PWD_GUIDED] += pwd.until - since
+
     for pwd in pwds:  # every resident starts idle at home
         sleep(pwd, 0, wake_tick(pwd, horizon))
     awake: list[PwDAgent] = []  # in id order, as the phases take them
@@ -215,44 +234,64 @@ def run_simulation(scenario: Scenario) -> EventLog:
         # lost, the rest of the phase finds no one either.
         lost = True
         for nurse in nurses:
-            if nurse.state == NURSE_INACTIVE and \
-                    grid.at_label(nurse.position, nurse.base):
+            state = nurse.state
+            if state == NURSE_GUIDING:  # parked on its drawn guidance
+                if nurse.target.until == tick:
+                    movers.append(nurse.target)
+                    end_guidance(nurse, ctx, tick, events)
+                continue
+            if state == NURSE_INACTIVE and grid.at_label(nurse.position, nurse.base):
                 lost = lost and anyone_lost(movers, awake)
                 if not lost:
                     continue
             nurse_step(nurse, ctx, tick, events)
         for pwd in awake:
-            pwd_move(pwd, grid, tick)
+            if pwd.mode == PWD_TRAVELING:
+                pwd_move(pwd, grid, tick)
         for pwd in movers:
-            pwd_move(pwd, grid, tick)
+            if pwd.mode == PWD_TRAVELING:
+                pwd_move(pwd, grid, tick)
 
         still, back = [], []
         for pwd in movers:
-            mode = pwd.mode
-            pwd_tallies[pwd.id][mode] += 1
-            # Passive until travelling on its goal again (agents.passive).
-            if mode == PWD_TRAVELING and grid.at_label(pwd.position, pwd.trip.goal):
+            if pwd.mode == PWD_GUIDED:
+                guide(pwd, tick)
+                continue
+            pwd_tallies[pwd.id][PWD_TRAVELING] += 1
+            # Passive until it stands on its goal (agents.passive).
+            if grid.at_label(pwd.position, pwd.trip.goal):
                 back.append(pwd)
             else:
                 still.append(pwd)
         movers, still = still, back
         for pwd in awake:
             mode = pwd.mode
-            if mode == PWD_TRAVELING or mode == PWD_GUIDED:
+            if mode == PWD_GUIDED:
+                guide(pwd, tick)
+            elif mode != PWD_TRAVELING:  # a missed appointment's successor waits a tick
+                sleep(pwd, tick, max(wake_tick(pwd, horizon), tick + 1))
+            elif not pwd.disoriented:
+                sleep(pwd, tick, travel_ahead(pwd, grid, tick, horizon))
+            else:
                 pwd_tallies[pwd.id][mode] += 1
                 (movers if passive(pwd, grid) else still).append(pwd)
-            else:  # a missed appointment's successor waits for the next tick
-                sleep(pwd, tick, max(wake_tick(pwd, horizon), tick + 1))
         if back:
             still.sort(key=_agent_id)
         awake = still
 
-        if awake or movers or queue or any(
-                nurse.state != NURSE_INACTIVE or
-                not grid.at_label(nurse.position, nurse.base) for nurse in nurses):
+        if awake or movers or queue:
             step = 1
         else:
-            step = (asleep[0][0] if asleep else horizon) - tick
+            # No one is lost, so no nurse responds: each guides along its
+            # drawn span, rests on its base or walks home.
+            wake = asleep[0][0] if asleep else horizon
+            for nurse in nurses:
+                if nurse.state == NURSE_GUIDING:
+                    wake = min(wake, nurse.target.until)
+            step = wake - tick
+            for nurse in nurses:
+                if nurse.state == NURSE_INACTIVE:
+                    walk_home(nurse, grid, step - 1)
         for nurse, ticks in nurse_tallies:
             ticks[nurse.state] += step
         tick += step

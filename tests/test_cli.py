@@ -480,6 +480,15 @@ def test_demo_below_a_regular_file_is_io_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_output_below_a_regular_file_names_the_output(tmp_path, capsys, monkeypatch):
+    # Removing the temporary file fails the same way as writing it did;
+    # the error line still names the output, not the temporary file.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "plainfile").write_text("")
+    assert main(["run", demo_scenario_path(), "--seed", "1", "--out", "plainfile/x"]) == 3
+    assert capsys.readouterr().err == "error: cannot write plainfile/x: Not a directory\n"
+
+
 def test_demo_round_trip(tmp_path, capsys):
     assert main(["demo", str(tmp_path / "fixtures")]) == 0
     assert (tmp_path / "fixtures" / "demo_map.txt").exists()

@@ -2,7 +2,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     check_causal_ordering, corridor_grid, corridor_template, corridors,
@@ -11,8 +11,8 @@ from conftest import (
 
 import ecqsim.engine
 from ecqsim.engine import (
-    NurseConfig, PwDConfig, Scenario, ScenarioError, WatchConfig,
-    derive_stream, run_simulation,
+    DEFAULT_HORIZON, NurseConfig, PwDConfig, Scenario, ScenarioError,
+    WatchConfig, derive_stream, run_simulation,
 )
 from ecqsim.agents import WATCH_AWAITING_NURSE, Appointment
 from ecqsim.grid import GridMap, parse_map
@@ -91,28 +91,32 @@ def silent(pwd, grid):
 
 
 def scheduled_phase_calls(scenario):
-    """Run ``scenario`` with phases A, B and C wrapped, and count their calls.
+    """Run ``scenario`` with the phases wrapped, and count their calls.
 
     The wrappers replace the ``ecqsim.engine`` globals, as perfbench's
     tracer does, and check that the engine steps no agent that cannot
     act: a phase-A call on an idle or dwelling resident must emit an
-    event or move it on in its schedule, phases A and B never take a
-    silent resident (one lost this very tick aside, which phase E has
-    not yet seen), and a phase-C call on an inactive nurse standing on
-    its base must find a resident disoriented with no nurse responding.
-    The log must still equal the reference's.
+    event or move it on in its schedule, and one on a traveller that is
+    not lost must emit its arrival or onset, as the rest of its trip is
+    drawn ahead; phases A and B never take a silent resident (one lost
+    this very tick aside, which phase E has not yet seen); a phase-C
+    call on an inactive nurse standing on its base must find a resident
+    disoriented with no nurse responding, and one on a guiding nurse
+    must end the guidance; phase D never takes a guided resident.  The
+    log must still equal the reference's.
     """
     calls = Counter()
     begin_tick, nurse_step = ecqsim.engine.pwd_begin_tick, ecqsim.engine.nurse_step
-    watch_step = ecqsim.engine.watch_step
+    watch_step, pwd_move = ecqsim.engine.watch_step, ecqsim.engine.pwd_move
     lost_at = {}
 
     def checked_begin_tick(pwd, grid, tick, events):
         calls["A"] += 1
         assert not silent(pwd, grid), (pwd.id, tick)
         before = (pwd.mode, pwd.next_idx, pwd.forgot, len(events))
+        drawn_ahead = pwd.mode == PWD_TRAVELING and not pwd.disoriented
         begin_tick(pwd, grid, tick, events)
-        if before[0] in (PWD_IDLE, PWD_AT_APPOINTMENT):
+        if before[0] in (PWD_IDLE, PWD_AT_APPOINTMENT) or drawn_ahead:
             assert (pwd.mode, pwd.next_idx, pwd.forgot, len(events)) != before, \
                 (pwd.id, tick)
         if events[before[3]:] and events[-1].kind == DISORIENTATION_START:
@@ -129,12 +133,21 @@ def scheduled_phase_calls(scenario):
         if nurse.state == NURSE_INACTIVE and ctx.grid.at_label(nurse.position, nurse.base):
             assert any(p.disoriented and p.nurse is None for p in ctx.pwds), \
                 (nurse.id, tick)
+        guiding, count = nurse.state == NURSE_GUIDING, len(events)
         nurse_step(nurse, ctx, tick, events)
+        if guiding:
+            assert [e.kind for e in events[count:]][:1] == [GUIDANCE_END], (nurse.id, tick)
+
+    def checked_pwd_move(pwd, grid, tick):
+        calls["D"] += 1
+        assert pwd.mode != PWD_GUIDED, (pwd.id, tick)
+        pwd_move(pwd, grid, tick)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ecqsim.engine, "pwd_begin_tick", checked_begin_tick)
         patch.setattr(ecqsim.engine, "watch_step", checked_watch_step)
         patch.setattr(ecqsim.engine, "nurse_step", checked_nurse_step)
+        patch.setattr(ecqsim.engine, "pwd_move", checked_pwd_move)
         text = run_simulation(scenario).to_text()
     assert text == reference_run(scenario).to_text()
     return calls
@@ -159,6 +172,53 @@ def test_scheduler_steps_only_agents_that_can_act(demo_loaded, watch):
 @given(facilities())
 def test_scheduler_contract_on_generated_facilities(template):
     assert scheduled_phase_calls(single_run(template))["A"] > 0
+
+
+# Spans that the horizon cuts: the run must still equal the every-tick
+# reference.  Two mutations must fail the span tests.  Leaving the nurse
+# of a guidance that the horizon cuts off unparked, so that phase C steps
+# it again, fails test_guidance_past_the_horizon_parks_its_nurse.
+# Drawing a traveller's noise before its onset in agents.travel_ahead
+# fails test_scheduler_steps_only_agents_that_can_act.  The generated
+# facilities below catch either in some runs, not in every run.
+
+
+def cut(scenario, horizon):
+    """``scenario`` ending at ``horizon``, without the appointments past it."""
+    pwds = [replace(p, schedule=[a for a in p.schedule
+                                 if a.start + a.duration <= horizon])
+            for p in scenario.pwds]
+    return replace(scenario, pwds=pwds, horizon=horizon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(facilities(), st.data())
+def test_spans_cut_by_the_horizon_on_generated_facilities(template, data):
+    scenario = single_run(template)
+    scheduled_phase_calls(cut(scenario, data.draw(st.integers(1, scenario.horizon - 1))))
+
+
+def test_guidance_past_the_horizon_parks_its_nurse():
+    # Every noise draw holds a resident still.  N1 reaches P1 and guides
+    # it, but the guidance never ends, so its span runs to the horizon;
+    # P2's call waits for N1 all along, so no tick is skipped.  A
+    # draw-ahead loop that did not stop at the horizon would hang here.
+    grid = parse_map("##########\n#ba....sN#\n##########", {
+        "a": ("home_a", "pwd_home"), "b": ("home_b", "pwd_home"),
+        "s": ("site", "appointment_site"), "N": ("base", "nurse_base")})
+    scenario = Scenario(
+        grid=grid, horizon=DEFAULT_HORIZON,
+        pwds=[PwDConfig(id=f"P{k}", home=home, p_d=1.0, p_noise=1.0,
+                        schedule=[Appointment("site", 0, 0)])
+              for k, home in ((1, "home_a"), (2, "home_b"))],
+        nurses=[NurseConfig(id="N1", base="base", radius=0)],
+        watch=WatchConfig(enabled=True, p_detect=1.0, n_help=0))
+    assert scheduled_phase_calls(scenario)["D"] >= DEFAULT_HORIZON  # P2 every tick
+    log = run_simulation(scenario)
+    assert [e.kind for e in log.events][-2:] == [RESPONSE_START, GUIDANCE_START]
+    guided_from = log.events[-1].tick
+    assert log.pwd_mode_counts("P1")[PWD_GUIDED] == log.horizon - guided_from
+    assert log.nurse_state_counts("N1")[NURSE_GUIDING] == log.horizon - guided_from
 
 
 def test_lost_step_onto_the_goal_is_an_arrival():

@@ -17,6 +17,14 @@ summary per metric: medians, quartiles
 pairs in which the change reads better (the direction comes from
 ``BENCHMARK.json``) and the failed and attempted operation counts.
 
+The summary also states the two rules a change is held to.  A claimed
+gain needs the change to read better in at least 9 of 10 pairs and the
+medians to differ by more than the parent's interquartile range
+(``parent_iqr``, ``gap_exceeds_parent_iqr``).  An end-to-end metric
+must not read worse than the parent's median by more than its
+``bound`` in ``BENCHMARK.json`` times that median
+(``worse_beyond_bound``; null for a metric without a bound).
+
 The output file is updated in place: a second call with another
 workload, seed or ``--trace`` adds its runs beside the first's.  Only
 the standard library is used.
@@ -65,14 +73,23 @@ def run_once(tree: Path, args: argparse.Namespace) -> dict:
     return json.loads((tree / ".perfbench" / "results" / f"{stem}.json").read_text())
 
 
+def _metric_specs(tree: Path) -> list[dict]:
+    spec = json.loads((tree / "BENCHMARK.json").read_text())
+    return [m for key in ("end_to_end", "per_layer") for m in spec.get(key, [])]
+
+
 def directions(tree: Path) -> dict[str, str]:
     """``better`` ("lower" or "higher") of every metric in BENCHMARK.json."""
-    spec = json.loads((tree / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for key in ("end_to_end", "per_layer")
-            for m in spec.get(key, [])}
+    return {m["name"]: m["better"] for m in _metric_specs(tree)}
 
 
-def summarise(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
+def bounds(tree: Path) -> dict[str, float]:
+    """``bound`` of every metric in BENCHMARK.json that has one."""
+    return {m["name"]: m["bound"] for m in _metric_specs(tree) if "bound" in m}
+
+
+def summarise(runs: dict[str, list[dict]], better: dict[str, str],
+              bound: dict[str, float]) -> dict:
     parent, change = runs["parent"], runs["change"]
     pairs = min(len(parent), len(change))
     summary = {}
@@ -89,6 +106,12 @@ def summarise(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
         entry["change_wins"] = sum(sign * (c - p) > 0
                                    for p, c in zip(values["parent"], values["change"]))
         entry["pairs"] = pairs
+        q1, q3 = entry["parent_q1_q3"]
+        gap = entry["change_median"] - entry["parent_median"]
+        entry["parent_iqr"] = q3 - q1
+        entry["gap_exceeds_parent_iqr"] = abs(gap) > q3 - q1
+        entry["worse_beyond_bound"] = None if name not in bound else \
+            -sign * gap > bound[name] * abs(entry["parent_median"])
         summary[name] = entry
     summary["failed_of_attempted"] = {
         side: [sum(r["failed"] for r in runs[side]),
@@ -136,7 +159,8 @@ def main(argv: list[str] | None = None) -> int:
                               "--seconds N --trace T")
     out.setdefault("notes", []).extend(args.note)
     out.setdefault("runs", {})[key] = runs
-    out.setdefault("summary", {})[key] = summarise(runs, directions(trees["change"]))
+    out.setdefault("summary", {})[key] = summarise(
+        runs, directions(trees["change"]), bounds(trees["change"]))
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     print(json.dumps(out["summary"][key], indent=1))
     return 0
