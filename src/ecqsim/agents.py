@@ -19,12 +19,19 @@ to the agent, so a run is a pure function of (scenario, seed).
 
 The engine's scheduler steps only agents that can act, by rules kept
 beside the phases whose conditions they restate: ``wake_tick`` (phase
-A), ``passive`` (phases A and B) and ``anyone_lost`` (the phase C
-scan).  ``travel_ahead``, ``guide_ahead`` and ``walk_home`` draw a
-private span ahead: ticks in which an agent reads and writes only its
-own state and streams, each tick's draws made in the phases' order.
-Of the phase functions only ``pwd_begin_tick`` reads what a span
-leaves, the onset that ``travel_ahead`` drew.
+A), ``passive`` (phases A and B), ``dispatch_idle`` (dispatch) and
+``anyone_lost`` (the phase C scan).  ``travel_ahead``, ``guide_ahead``
+and ``walk_home`` draw a private span ahead: ticks in which an agent
+reads and writes only its own state and streams, each tick's draws made
+in the phases' order.  Of the phase functions only ``pwd_begin_tick``
+reads what a span leaves, the onset that ``travel_ahead`` drew.
+
+``quiet_ticks`` draws world ticks rather than one agent's: a quiet tick
+has no resident awake and nothing to dispatch, so only pursuits, scans,
+steps home and lost residents' steps happen in it.  It draws them tick
+by tick, all agents together, and stops where a scan would see someone,
+a pursuit would reach its resident, or a lost resident has arrived,
+since only those emit.  The scan itself is ``sighting``, used by both.
 """
 
 from __future__ import annotations
@@ -349,6 +356,52 @@ def walk_home(nurse: NurseAgent, grid: GridMap, ticks: int) -> None:
     nurse.position = pos
 
 
+def quiet_ticks(movers: list[PwDAgent], nurses: list[NurseAgent], grid: GridMap,
+                tick: int, wake: int) -> int:
+    """Draw the quiet ticks from ``tick`` on, before ``wake``; return the first not drawn.
+
+    A quiet tick has no resident awake and leaves dispatch idle
+    (``dispatch_idle``), so the lost residents are ``movers``, phases A
+    and B take no one, and guiding nurses stay parked.  What is left is
+    phase C's pursuit steps, scans and steps home, and phase D for the
+    movers, none of which emits unless a scan sees a lost resident, a
+    pursuit lands on its resident, or a mover steps onto its trip's
+    goal.  So each tick is drawn here, all agents in lockstep, and the
+    drawing stops before a tick whose scan or pursuit would emit
+    (``ResponseStart``, ``GuidanceStart``), for the engine to run that
+    tick in full, and after a tick in which a mover arrives, which
+    phase A sees on the next.  No nurse changes state in the ticks drawn.
+    """
+    at_label, step_cell = grid.at_label, grid.step_toward_cell
+    while tick < wake:
+        pursuits, walkers = [], []
+        for nurse in nurses:
+            state = nurse.state
+            if state == NURSE_RESPONDING:
+                target = nurse.target.position
+                step = step_cell(nurse.position, target)
+                if step == target:
+                    return tick
+                pursuits.append((nurse, step))
+            elif state == NURSE_INACTIVE:
+                if sighting(nurse, movers, grid) is not None:
+                    return tick
+                if not at_label(nurse.position, nurse.base):
+                    walkers.append(nurse)
+        for nurse, step in pursuits:
+            nurse.position = step
+        for nurse in walkers:
+            nurse.position = grid.step_toward_label(nurse.position, nurse.base)
+        arrived = False
+        for pwd in movers:
+            pwd_move(pwd, grid, tick)
+            arrived = arrived or at_label(pwd.position, pwd.trip.goal)
+        tick += 1
+        if arrived:
+            break
+    return tick
+
+
 def pwd_move(pwd: PwDAgent, grid: GridMap, tick: int) -> None:
     """Phase D for one resident: locomotion noise, then one step."""
     if pwd.mode != PWD_TRAVELING or pwd.moved_tick == tick:
@@ -440,23 +493,31 @@ def _begin_response(nurse: NurseAgent, pwd: PwDAgent, via: str, phase: str,
         "pwd": pwd.id, "episode": pwd.episode, "via": via}))
 
 
+def dispatch_idle(ctx: WorldContext) -> bool:
+    """Whether dispatch leaves the queue as it is.
+
+    It does while the queue is empty, and while every nurse is busy and
+    every queued call live: a live call then waits, and there is no
+    stale one to drop.
+    """
+    if not ctx.queue:
+        return True
+    for nurse in ctx.nurses:
+        if nurse.state == NURSE_INACTIVE:
+            return False
+    return not any(map(_stale_reason, ctx.queue))
+
+
 def assign_calls(ctx: WorldContext, tick: int, events: list[Event]) -> None:
     """Phase B dispatch: match queued calls to inactive nurses, FIFO.
 
     A call goes to the nearest free nurse, the lowest id on a tie.  Stale
     calls (resident already fine or already attended) are dropped;
-    unassignable calls stay queued in order.  While every nurse is busy
-    and every call live, that leaves the queue as it is, so it is not
-    touched.
+    unassignable calls stay queued in order.  The queue is not touched
+    while that would leave it as it is (``dispatch_idle``).
     """
-    if not ctx.queue:
+    if dispatch_idle(ctx):
         return
-    for nurse in ctx.nurses:
-        if nurse.state == NURSE_INACTIVE:
-            break
-    else:
-        if not any(map(_stale_reason, ctx.queue)):
-            return
     free = [n for n in ctx.nurses if n.state == NURSE_INACTIVE]
     pending: list[Call] = []
     while ctx.queue:
@@ -506,26 +567,39 @@ def anyone_lost(*groups: list[PwDAgent]) -> bool:
     return False
 
 
+def sighting(nurse: NurseAgent, pwds: list[PwDAgent],
+             grid: GridMap) -> PwDAgent | None:
+    """The resident of ``pwds`` that an inactive nurse's scan picks, or None.
+
+    The scan sees a resident that is disoriented with no nurse
+    responding, within the nurse's radius and with no wall on the ray,
+    and picks the nearest of those, the first on a tie.
+    """
+    x, y = pos = nurse.position
+    radius = nurse.radius
+    reach = radius * radius
+    target: PwDAgent | None = None
+    best: int | None = None
+    for pwd in pwds:
+        if pwd.disoriented and pwd.nurse is None:
+            px, py = pwd.position
+            if (px - x) * (px - x) + (py - y) * (py - y) > reach:
+                continue  # line_of_sight's first test, made before the call
+            if line_of_sight(grid, pos, pwd.position, radius):
+                d = grid.distance(pos, pwd.position)
+                if best is None or d < best:
+                    best = d
+                    target = pwd
+    return target
+
+
 def nurse_step(nurse: NurseAgent, ctx: WorldContext, tick: int,
                events: list[Event]) -> None:
     """Phase C for one nurse: scan, pursue, or guide."""
     grid = ctx.grid
 
     if nurse.state == NURSE_INACTIVE:
-        target: PwDAgent | None = None
-        best: int | None = None
-        x, y = nurse.position
-        reach = nurse.radius * nurse.radius
-        for pwd in ctx.pwds:
-            if pwd.disoriented and pwd.nurse is None:
-                px, py = pwd.position
-                if (px - x) * (px - x) + (py - y) * (py - y) > reach:
-                    continue  # line_of_sight's first test, made before the call
-                if line_of_sight(grid, nurse.position, pwd.position, nurse.radius):
-                    d = grid.distance(nurse.position, pwd.position)
-                    if best is None or d < best:  # a tie keeps the lower id
-                        best = d
-                        target = pwd
+        target = sighting(nurse, ctx.pwds, grid)  # a tie keeps the lower id
         if target is not None:
             _begin_response(nurse, target, "sight", "C", tick, events)
             # Falls through to the pursuit move below on the next tick.

@@ -41,13 +41,19 @@ the step onto its goal; the nurse is parked until then, emits
 rejoins the second list there.
 
 Phase C skips an inactive nurse on its base while no resident is lost
-(``agents.anyone_lost``), since its scan could find no one.  The next
-tick is ``tick + 1`` while a resident is lost or a call is queued;
-otherwise the clock jumps to the earliest wake tick or guidance end,
-and each inactive nurse takes the steps home of the ticks it skipped
-(``agents.walk_home``).  The every-tick reference is ``reference_run``
-in the tests: it skips nothing, draws nothing ahead and must produce the
-same log.
+(``agents.anyone_lost``), since its scan could find no one.  After
+phase E the next tick is ``tick + 1`` while a resident is awake or
+dispatch has a call to assign or drop (``agents.dispatch_idle``).
+Otherwise every tick up to the earliest wake tick or guidance end is
+quiet: phases A and B take no one, no nurse changes state, and no event
+comes unless a nurse sights or reaches a lost resident, or a lost
+resident steps onto its goal.  While someone is lost, those ticks are
+drawn in lockstep (``agents.quiet_ticks``) up to the first that would
+emit; that tick is run in full, or, after an arrival, the next one.
+While no one is lost the clock jumps, and each inactive nurse takes the
+steps home of the ticks it skipped (``agents.walk_home``).  The
+every-tick reference is ``reference_run`` in the tests: it skips
+nothing, draws nothing ahead and must produce the same log.
 """
 
 from __future__ import annotations
@@ -59,9 +65,9 @@ from heapq import heappop, heappush
 
 from .agents import (
     NurseAgent, NurseConfig, PwDAgent, PwDConfig, SmartWatch, WatchConfig,
-    WorldContext, anyone_lost, assign_calls, end_guidance, guide_ahead,
-    nurse_step, passive, pwd_begin_tick, pwd_move, travel_ahead, wake_tick,
-    walk_home, watch_step,
+    WorldContext, anyone_lost, assign_calls, dispatch_idle, end_guidance,
+    guide_ahead, nurse_step, passive, pwd_begin_tick, pwd_move, quiet_ticks,
+    travel_ahead, wake_tick, walk_home, watch_step,
 )
 from .events import (
     NURSE_GUIDING, NURSE_INACTIVE, PWD_GUIDED, PWD_TRAVELING, EventLog,
@@ -230,9 +236,9 @@ def run_simulation(scenario: Scenario) -> EventLog:
             watch_step(pwd, tick, events, queue)
         assign_calls(ctx, tick, events)
         # An inactive nurse on its base acts only on sighting a lost
-        # resident.  Phase C loses no one, so once a look finds no one
-        # lost, the rest of the phase finds no one either.
-        lost = True
+        # resident.  Phase C loses no one, and before such a nurse's turn
+        # only a sighting leaves fewer lost, so one look serves until then.
+        lost = None  # anyone_lost, looked up when first needed
         for nurse in nurses:
             state = nurse.state
             if state == NURSE_GUIDING:  # parked on its drawn guidance
@@ -241,10 +247,13 @@ def run_simulation(scenario: Scenario) -> EventLog:
                     end_guidance(nurse, ctx, tick, events)
                 continue
             if state == NURSE_INACTIVE and grid.at_label(nurse.position, nurse.base):
-                lost = lost and anyone_lost(movers, awake)
+                if lost is None:
+                    lost = anyone_lost(movers, awake)
                 if not lost:
                     continue
             nurse_step(nurse, ctx, tick, events)
+            if state == NURSE_INACTIVE and nurse.state != NURSE_INACTIVE:
+                lost = None  # it sighted someone
         for pwd in awake:
             if pwd.mode == PWD_TRAVELING:
                 pwd_move(pwd, grid, tick)
@@ -279,19 +288,34 @@ def run_simulation(scenario: Scenario) -> EventLog:
             still.sort(key=_agent_id)
         awake = still
 
-        if awake or movers or queue:
+        if awake or not dispatch_idle(ctx):
             step = 1
         else:
-            # No one is lost, so no nurse responds: each guides along its
-            # drawn span, rests on its base or walks home.
             wake = asleep[0][0] if asleep else horizon
             for nurse in nurses:
                 if nurse.state == NURSE_GUIDING:
                     wake = min(wake, nurse.target.until)
-            step = wake - tick
-            for nurse in nurses:
-                if nurse.state == NURSE_INACTIVE:
-                    walk_home(nurse, grid, step - 1)
+            if movers:
+                # Someone is lost, and the next ticks are quiet: they are
+                # drawn up to the first that emits an event.
+                step = quiet_ticks(movers, nurses, grid, tick + 1, wake) - tick
+                if step > 1:  # phase E of the ticks drawn
+                    still, back = [], []
+                    for pwd in movers:
+                        pwd_tallies[pwd.id][PWD_TRAVELING] += step - 1
+                        if grid.at_label(pwd.position, pwd.trip.goal):
+                            back.append(pwd)
+                        else:
+                            still.append(pwd)
+                    back.sort(key=_agent_id)
+                    movers, awake = still, back
+            else:
+                # No one is lost, so no nurse responds: each guides along
+                # its drawn span, rests on its base or walks home.
+                step = wake - tick
+                for nurse in nurses:
+                    if nurse.state == NURSE_INACTIVE:
+                        walk_home(nurse, grid, step - 1)
         for nurse, ticks in nurse_tallies:
             ticks[nurse.state] += step
         tick += step

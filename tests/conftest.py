@@ -250,21 +250,31 @@ def facilities(draw):
         seed=draw(st.integers(0, 2**32)))
 
 
+def row_grid(row):
+    """The single-row map ``row``, walled above and below.
+
+    ``N`` is the nurses' base, ``a``-``d`` are homes ``home_a``-``home_d``
+    and ``A``/``B`` are sites ``site_A``/``site_B``.
+    """
+    legend = {g: (f"home_{g}", "pwd_home") for g in "abcd" if g in row}
+    legend.update((g, (f"site_{g}", "appointment_site")) for g in "AB" if g in row)
+    if "N" in row:
+        legend["N"] = ("base", "nurse_base")
+    wall = "#" * len(row)
+    return parse_map(f"{wall}\n{row}\n{wall}", legend)
+
+
 def corridor_template(row, *, p_d, p_noise, radii, horizon, count, seed):
     """A single-row corridor whose watches call a nurse on detection.
 
     ``row`` holds the nurses' base ``N``, homes ``a``-``d`` and sites
-    ``A``/``B`` between walls.  Visits take no time, so a resident can
-    arrive and leave, lost again, in one tick while its first call waits.
+    ``A``/``B`` between walls (``row_grid``).  Visits take no time, so a
+    resident can arrive and leave, lost again, in one tick while its
+    first call waits.
     """
     homes = sorted(g for g in row if g.islower())
-    legend = {"N": ("base", "nurse_base")}
-    legend.update((g, (f"home_{g}", "pwd_home")) for g in homes)
-    legend.update((g, (f"site_{g}", "appointment_site")) for g in "AB" if g in row)
-    wall = "#" * len(row)
-    grid = parse_map(f"{wall}\n{row}\n{wall}", legend)
     return ScenarioTemplate(
-        grid=grid,
+        grid=row_grid(row),
         pwds=[PwDConfig(id=f"P{k}", home=f"home_{g}", p_d=p_d, p_noise=p_noise)
               for k, g in enumerate(homes)],
         nurses=[NurseConfig(id=f"N{k}", base="base", radius=r)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     check_causal_ordering, corridor_grid, corridor_template, corridors,
-    facilities, reference_run,
+    facilities, reference_run, row_grid,
 )
 
 import ecqsim.engine
@@ -177,7 +177,8 @@ def test_scheduler_contract_on_generated_facilities(template):
 # Spans that the horizon cuts: the run must still equal the every-tick
 # reference.  Two mutations must fail the span tests.  Leaving the nurse
 # of a guidance that the horizon cuts off unparked, so that phase C steps
-# it again, fails test_guidance_past_the_horizon_parks_its_nurse.
+# it again, fails test_guidance_past_the_horizon_parks_its_nurse_through_full_ticks
+# (a quiet tick steps no guiding nurse, parked or not).
 # Drawing a traveller's noise before its onset in agents.travel_ahead
 # fails test_scheduler_steps_only_agents_that_can_act.  The generated
 # facilities below catch either in some runs, not in every run.
@@ -198,11 +199,12 @@ def test_spans_cut_by_the_horizon_on_generated_facilities(template, data):
     scheduled_phase_calls(cut(scenario, data.draw(st.integers(1, scenario.horizon - 1))))
 
 
-def test_guidance_past_the_horizon_parks_its_nurse():
-    # Every noise draw holds a resident still.  N1 reaches P1 and guides
-    # it, but the guidance never ends, so its span runs to the horizon;
-    # P2's call waits for N1 all along, so no tick is skipped.  A
-    # draw-ahead loop that did not stop at the horizon would hang here.
+def check_guidance_past_the_horizon(watch, radius):
+    """Every noise draw holds a resident still.  N1 reaches P1 and guides
+    it, but the guidance never ends, so its span runs to the horizon
+    while P2 stays lost.  A draw-ahead loop that did not stop at the
+    horizon would hang here.
+    """
     grid = parse_map("##########\n#ba....sN#\n##########", {
         "a": ("home_a", "pwd_home"), "b": ("home_b", "pwd_home"),
         "s": ("site", "appointment_site"), "N": ("base", "nurse_base")})
@@ -211,14 +213,29 @@ def test_guidance_past_the_horizon_parks_its_nurse():
         pwds=[PwDConfig(id=f"P{k}", home=home, p_d=1.0, p_noise=1.0,
                         schedule=[Appointment("site", 0, 0)])
               for k, home in ((1, "home_a"), (2, "home_b"))],
-        nurses=[NurseConfig(id="N1", base="base", radius=0)],
-        watch=WatchConfig(enabled=True, p_detect=1.0, n_help=0))
-    assert scheduled_phase_calls(scenario)["D"] >= DEFAULT_HORIZON  # P2 every tick
+        nurses=[NurseConfig(id="N1", base="base", radius=radius)],
+        watch=watch)
+    scheduled_phase_calls(scenario)
     log = run_simulation(scenario)
+    assert log.pwd_mode_counts("P2")[PWD_TRAVELING] == log.horizon  # lost throughout
     assert [e.kind for e in log.events][-2:] == [RESPONSE_START, GUIDANCE_START]
     guided_from = log.events[-1].tick
     assert log.pwd_mode_counts("P1")[PWD_GUIDED] == log.horizon - guided_from
     assert log.nurse_state_counts("N1")[NURSE_GUIDING] == log.horizon - guided_from
+
+
+def test_guidance_past_the_horizon_parks_its_nurse():
+    # P2's call waits for N1, so every tick after the guidance starts is
+    # quiet and drawn up to the horizon.
+    check_guidance_past_the_horizon(
+        WatchConfig(enabled=True, p_detect=1.0, n_help=0), radius=0)
+
+
+def test_guidance_past_the_horizon_parks_its_nurse_through_full_ticks():
+    # No watch detects, and N1 sees P1 but not P2, whose silent watch
+    # keeps every tick a full one: phase C meets the parked N1 on each.
+    check_guidance_past_the_horizon(
+        WatchConfig(enabled=True, p_detect=0.0, n_help=0), radius=6.5)
 
 
 def test_lost_step_onto_the_goal_is_an_arrival():
@@ -235,6 +252,137 @@ def test_lost_step_onto_the_goal_is_an_arrival():
     assert log.to_text() == reference_run(scenario).to_text()
     arrivals = [(e.tick, e.payload["goal"]) for e in log.events if e.kind == TRIP_END]
     assert arrivals[0] == (2, "site")
+
+
+# Quiet ticks: each run below must equal the every-tick reference, with
+# no event on a tick drawn.  Three mutations each fail a test here.
+# Entering the loop with a stale call queued fails
+# test_stale_call_forces_a_full_tick; leaving walking nurses where they
+# stand fails test_nurse_walking_home_sights_a_resident_mid_stretch;
+# finishing a tick whose pursuit lands, instead of stopping before it,
+# fails test_pursuit_reaches_its_resident_after_a_quiet_stretch.
+
+
+def drawn_stretches(scenario):
+    """Run ``scenario``, recording the ticks that ``quiet_ticks`` draws.
+
+    Returns the log, which must equal the reference's, and a ``range``
+    of ticks for each stretch drawn.  No tick in one may carry an event.
+    """
+    stretches = []
+    quiet_ticks = ecqsim.engine.quiet_ticks
+
+    def recorded(movers, nurses, grid, tick, wake):
+        end = quiet_ticks(movers, nurses, grid, tick, wake)
+        if end > tick:
+            stretches.append(range(tick, end))
+        return end
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ecqsim.engine, "quiet_ticks", recorded)
+        log = run_simulation(scenario)
+    assert log.to_text() == reference_run(scenario).to_text()
+    drawn = {tick for stretch in stretches for tick in stretch}
+    assert [e for e in log.events if e.tick in drawn] == []
+    return log, stretches
+
+
+def lost_on_departure(pwd_id, home, site, start, duration=0):
+    """A resident that gets lost as it leaves for ``site`` and never stumbles."""
+    return PwDConfig(id=pwd_id, home=home, p_d=1.0, p_noise=0.0,
+                     schedule=[Appointment(site, start, duration)])
+
+
+def stretch_ending_at(stretches, tick):
+    """The stretch that stops before ``tick``; it must have drawn several ticks."""
+    [stretch] = [s for s in stretches if s.stop == tick]
+    assert len(stretch) > 2
+    return stretch
+
+
+def test_lost_resident_walks_into_sight_mid_stretch():
+    # P1 leaves at tick 1, lost toward site_B beside the base; with no
+    # watch, only N1's scan can find it, once it is two cells away.
+    scenario = Scenario(
+        grid=row_grid("#A.a.........BN#"), horizon=60,
+        pwds=[lost_on_departure("P1", "home_a", "site_A", 1)],
+        nurses=[NurseConfig(id="N1", base="base", radius=2)])
+    log, stretches = drawn_stretches(scenario)
+    [seen, *_] = [e for e in log.events if e.kind == RESPONSE_START]
+    assert seen.payload["via"] == "sight" and seen.tick > 2
+    assert stretch_ending_at(stretches, seen.tick).start == 2
+
+
+def test_pursuit_reaches_its_resident_after_a_quiet_stretch():
+    # P1's call at tick 1 sends N1 down the corridor after it, while P1
+    # walks away toward site_B; each tick of the chase is quiet.
+    scenario = Scenario(
+        grid=row_grid("#B...a.A........N#"), horizon=60,
+        pwds=[lost_on_departure("P1", "home_a", "site_A", 1, duration=5)],
+        nurses=[NurseConfig(id="N1", base="base", radius=0)],
+        watch=WatchConfig(enabled=True, p_detect=1.0, n_help=0))
+    log, stretches = drawn_stretches(scenario)
+    [called, *_] = [e for e in log.events if e.kind == RESPONSE_START]
+    [reached, *_] = [e for e in log.events if e.kind == GUIDANCE_START]
+    assert called.tick == 1 and called.payload["via"] == "call"
+    assert stretch_ending_at(stretches, reached.tick).start == 2
+
+
+def test_lost_resident_steps_onto_its_goal_mid_stretch():
+    # Lost toward site_B, P1 crosses its own site_A on the way; N1, too
+    # far off to see it, scans every tick of the stretch.
+    scenario = Scenario(
+        grid=row_grid("#a.....A....BN#"), horizon=40,
+        pwds=[lost_on_departure("P1", "home_a", "site_A", 1, duration=5)],
+        nurses=[NurseConfig(id="N1", base="base", radius=1)])
+    log, stretches = drawn_stretches(scenario)
+    [arrival, *_] = [e for e in log.events if e.kind == TRIP_END]
+    assert arrival.tick == 7 and arrival.payload["goal"] == "site_A"
+    assert stretch_ending_at(stretches, arrival.tick).start == 2
+
+
+def test_nurse_walking_home_sights_a_resident_mid_stretch():
+    # N1 guides P1 to site_A, at the far end from its base, and walks
+    # home from there; meanwhile P2 leaves lost toward site_A and walks
+    # into its sight, with N1 still 11 steps from its base.
+    scenario = Scenario(
+        grid=row_grid("#A.a...........b.BN#"), horizon=80,
+        pwds=[lost_on_departure("P1", "home_a", "site_A", 1, duration=50),
+              lost_on_departure("P2", "home_b", "site_B", 30, duration=10)],
+        nurses=[NurseConfig(id="N1", base="base", radius=2)])
+    log, stretches = drawn_stretches(scenario)
+    [released] = [e for e in log.events
+                  if e.kind == GUIDANCE_END and e.payload["pwd"] == "P1"]
+    [seen, *_] = [e for e in log.events
+                  if e.kind == RESPONSE_START and e.payload["pwd"] == "P2"]
+    assert (released.tick, seen.tick) == (31, 37)
+    assert stretch_ending_at(stretches, seen.tick).start > released.tick
+
+
+def test_stale_call_forces_a_full_tick():
+    # At tick 157 N0's release takes P0's call of its episode e3, and so
+    # leaves P0's call of e4 queued as a duplicate.  N0 is busy and no
+    # resident is awake, so only that stale call keeps tick 158 from
+    # being quiet: phase B must drop it there.
+    log, stretches = drawn_stretches(single_run(corridor_template(
+        "#Bd.AaNbc#", p_d=1.0, p_noise=0.0, radii=(1,), horizon=200,
+        count=2, seed=374)))
+    lines = log.to_text().splitlines()
+    taken = lines.index("157,C,ResponseStart,N0,pwd=P0,episode=P0.e4,via=call")
+    assert lines[taken + 1] == "158,B,CallDropped,P0,episode=P0.e4,reason=duplicate"
+    assert not any(158 in stretch for stretch in stretches)
+
+
+@settings(max_examples=100, deadline=None)
+@given(facilities())
+def test_no_event_inside_a_quiet_stretch_on_generated_facilities(template):
+    drawn_stretches(single_run(template))
+
+
+@settings(max_examples=150, deadline=None)
+@given(corridors())
+def test_no_event_inside_a_quiet_stretch_on_generated_corridors(template):
+    drawn_stretches(single_run(template))
 
 
 def test_forced_chain_detection_and_call_same_tick(demo_loaded):
