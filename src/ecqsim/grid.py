@@ -19,17 +19,33 @@ order.  A query whose distance is already known reads the cached field
 directly; every other query goes through one method that creates or
 grows the field and raises MapError when the origin is cut off from the
 target.  MapError is the one error type, for bad plans and bad queries.
+The cell queries (``distance``, ``step_toward_cell``) check that both
+ends are on the map; the label queries do not, as their origins are
+always agent positions.
 
-Three shortcuts return the same answers with less work.  A field holds
+Four shortcuts return the same answers with less work.  A field holds
 shorts (``array('h')``) on maps of up to 32,767 cells, where no
 distance can exceed one, and ints otherwise.  A step toward a cell
 first asks a table of wall counts whether the rectangle spanned by the
 two cells holds no wall; if so the distance is the Manhattan one, and
 as the grid is bipartite every neighbour is one step nearer or farther,
 so the first neighbour in the fixed order that moves toward the target
-is the one the descent picks, found in O(1).  A step toward a label is
-memoized per (label, cell): the cells it reads are settled, so its
-answer never changes.  Pickling drops the fields and the memo.
+is the one the descent picks, found in O(1).  Otherwise, unless the
+target's field already reaches the origin, a step toward a cell
+descends toward a gate instead: the first cut vertex ``g``, other than
+the origin ``n``, on the block-cut tree path from ``n`` to the target
+``t`` (Hopcroft & Tarjan, "Efficient algorithms for graph
+manipulation", CACM 1973).  As ``g`` separates ``n`` from ``t``, each
+neighbour ``j`` of ``n`` on the way has ``d(j, t) = d(j, g) + d(g, t)``,
+and a neighbour in a block off the way is one step farther from both,
+so the first neighbour one step closer to ``g`` is the first one step
+closer to ``t``.  That holds for any cut vertex on the path; the first
+is taken because its field is the smallest and every target behind the
+same door shares it.  The tree is built by the first step that needs
+it, and the gate is memoized per pair of tree nodes.  A step toward a
+label is memoized per (label, cell): the cells it reads are settled, so
+its answer never changes.  Pickling drops the fields, the tree and both
+memos.
 """
 
 from __future__ import annotations
@@ -106,6 +122,11 @@ class GridMap:
         # Wall counts of the rectangles anchored at (0, 0), built by the
         # first cell step; see _walls_between.
         self._wall_sums: array | None = None
+        # The block-cut tree, built by the first walled cell step that
+        # needs it, and the gate memoized per pair of tree nodes; see
+        # _gate.
+        self._tree: tuple | None = None
+        self._gates: dict[int, int] = {}
 
     # -- validation ----------------------------------------------------
 
@@ -232,8 +253,14 @@ class GridMap:
             field = self._field(key, i)
         return field[0][i]
 
+    def _check_on_map(self, *positions: Position) -> None:
+        for pos in positions:
+            if not self.in_bounds(pos):
+                raise MapError(f"position {pos} out of bounds")
+
     def distance(self, origin: Position, target: Position) -> int:
         """Shortest 4-connected path length in steps; MapError if none."""
+        self._check_on_map(origin, target)
         return self._distance(target.y * self.width + target.x, origin)
 
     def label_distance(self, origin: Position, label: str) -> int:
@@ -263,25 +290,143 @@ class GridMap:
         return (sums[bottom + x1 + 1] - sums[top + x1 + 1]
                 - sums[bottom + x0] + sums[top + x0])
 
+    def _block_cut_tree(self) -> tuple:
+        """The block-cut tree of the open cells (Hopcroft & Tarjan, 1973).
+
+        Returns ``(node, parent, cut)``: the tree node of each cell (its
+        own node if it is a cut vertex, else its one block; -1 for a
+        wall), and per node its parent (-1 at a component's root) and its
+        cut vertex's cell (-1 for a block).
+        """
+        nbrs = self._nbrs
+        size = len(nbrs)
+        disc = [-1] * size
+        low = [0] * size
+        blocks = []  # each [head, cells below it...], children first
+        clock = 0
+        for root in range(size):
+            if disc[root] >= 0 or not self._open[root]:
+                continue
+            disc[root] = clock
+            clock += 1
+            stack = [root]
+            work = [(root, iter(nbrs[root]), 0)]
+            while work:
+                v, todo, _ = work[-1]
+                for j in todo:
+                    if disc[j] < 0:
+                        disc[j] = low[j] = clock
+                        clock += 1
+                        work.append((j, iter(nbrs[j]), len(stack)))
+                        stack.append(j)
+                        break
+                    # A tree edge back to the parent counts too: it lowers
+                    # low[v] to disc[parent] at most, which the test
+                    # below allows.
+                    if disc[j] < low[v]:
+                        low[v] = disc[j]
+                else:
+                    _, _, at = work.pop()
+                    if work:
+                        u = work[-1][0]
+                        if low[v] < low[u]:
+                            low[u] = low[v]
+                        if low[v] >= disc[u]:
+                            blocks.append([u] + stack[at:])
+                            del stack[at:]
+            if not nbrs[root]:
+                blocks.append([root])
+        blocks_of = [0] * size
+        for block in blocks:
+            for i in block:
+                blocks_of[i] += 1
+        # Blocks are nodes 0 .. len(blocks) - 1; cut vertices follow.
+        node = [-1] * size
+        parent = [-1] * len(blocks)
+        cut = [-1] * len(blocks)
+        # Blocks come children first, so going back a cut vertex is met
+        # first in its parent block, where it is not the head, unless it
+        # is its component's root.
+        for k in range(len(blocks) - 1, -1, -1):
+            head = blocks[k][0]
+            for i in blocks[k]:
+                if blocks_of[i] == 1:
+                    node[i] = k
+                elif node[i] < 0:
+                    node[i] = len(cut)
+                    parent.append(-1 if i == head else k)
+                    cut.append(i)
+            if blocks_of[head] > 1:
+                parent[k] = node[head]
+        return node, parent, cut
+
+    def _gate(self, i: int, t: int) -> int:
+        """The first cut vertex other than cell ``i`` on its way to cell ``t``.
+
+        It lies on the block-cut tree path from ``i``'s node to ``t``'s;
+        -1 when there is none, or when the two lie in different
+        components.  Memoized per pair of tree nodes.
+        """
+        if self._tree is None:
+            self._tree = self._block_cut_tree()
+        node, parent, cut = self._tree
+        a, b = node[i], node[t]
+        if a < 0 or b < 0:
+            return -1
+        key = a * len(cut) + b
+        gate = self._gates.get(key)
+        if gate is None:
+            up, down = [a], [b]
+            for chain in (up, down):
+                while parent[chain[-1]] >= 0:
+                    chain.append(parent[chain[-1]])
+            gate = -1
+            if up[-1] == down[-1]:  # else two components
+                while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
+                    up.pop()
+                    down.pop()
+                # The path runs up to the common node and down to b.
+                # Blocks and cut vertices alternate on it, so the first
+                # cut vertex after the origin's node is one of the next two.
+                for k in (up + down[-2::-1])[1:3]:
+                    if cut[k] >= 0:
+                        gate = cut[k]
+                        break
+            self._gates[key] = gate
+        return gate
+
     def step_toward_cell(self, pos: Position, target: Position) -> Position:
         """One step along a shortest path to ``target`` (stays put on arrival)."""
         x, y = pos
         tx, ty = target
+        w = self.width
+        # The bounds test is inline on this hot path; the call names the
+        # end that is off the map.
+        if not (0 <= x < w and 0 <= tx < w and 0 <= y < self.height and 0 <= ty < self.height):
+            self._check_on_map(pos, target)
+        i = y * w + x
         if self._walls_between(x, y, tx, ty) == 0:
             # Open floor: the distance is the Manhattan one, and the first
             # neighbour in up, right, down, left order that moves toward
             # the target is the one a descent picks.
-            i = y * self.width + x
             if ty < y:
-                return self._positions[i - self.width]
+                return self._positions[i - w]
             if tx > x:
                 return self._positions[i + 1]
             if ty > y:
-                return self._positions[i + self.width]
+                return self._positions[i + w]
             if tx < x:
                 return self._positions[i - 1]
             return pos
-        return self._descend(ty * self.width + tx, pos)
+        t = ty * w + tx
+        field = self._fields.get(t)
+        if field is None or field[0][i] < 0:
+            # The target's field is cold here: a descent toward the first
+            # cut vertex on the way picks the same neighbour.
+            gate = self._gate(i, t)
+            if gate >= 0:
+                return self._descend(gate, pos)
+        return self._descend(t, pos)
 
     def step_toward_label(self, pos: Position, label: str) -> Position:
         # A step's answer never changes: the cells it reads are settled.
@@ -298,12 +443,14 @@ class GridMap:
     def at_label(self, pos: Position, label: str) -> bool:
         return self.cells[pos.y * self.width + pos.x] == label
 
-    # -- pickling (drop fields and steps; they are pure accelerators) ---
+    # -- pickling (drop fields, steps and the tree: pure accelerators) ---
 
     def __getstate__(self):
         state = dict(self.__dict__)
         state["_fields"] = {}
         state["_label_steps"] = {}
+        state["_tree"] = None
+        state["_gates"] = {}
         return state
 
 
@@ -399,9 +546,7 @@ def ray_cells(a: Position, b: Position) -> Iterator[Position]:
 
 def line_of_sight(grid: GridMap, a: Position, b: Position, radius: float) -> bool:
     """True iff b is within Euclidean ``radius`` of a and no wall blocks the ray."""
-    for pos in (a, b):
-        if not grid.in_bounds(pos):
-            raise MapError(f"position {pos} out of bounds")
+    grid._check_on_map(a, b)
     dx = b.x - a.x
     dy = b.y - a.y
     if dx * dx + dy * dy > radius * radius:

@@ -1,12 +1,14 @@
 import pickle
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bfs_oracle, is_open, shortest_path
+from conftest import bfs_oracle, demo_scenario_path, is_open, shortest_path
 
 from ecqsim.grid import MapError, Position, line_of_sight, parse_map, ray_cells
+from ecqsim.scenario import load_scenario
 
 
 def random_map(rng, width=20, height=20, wall_share=0.2):
@@ -218,20 +220,25 @@ def test_resumed_fields_match_full_fields(case):
     ordered = sorted(origins, key=lambda o: (to_target[o] is None, to_target[o] or 0))
     check_resumed_queries(grid, target, ordered)
     copy = pickle.loads(pickle.dumps(grid))
-    assert copy._fields == {}
+    assert copy._fields == {} and copy._tree is None and copy._gates == {}
     check_resumed_queries(copy, target, ordered[::-1])
 
 
 def oracle_field(grid, goal_cells):
-    """Full distance field toward the nearest of ``goal_cells``, by cell."""
-    cells = [(x, y) for y in range(grid.height) for x in range(grid.width)
-             if is_open(grid, Position(x, y))]
-    field = {}
-    for c in cells:
-        found = [d for d in (bfs_oracle(grid, c, tuple(g)) for g in goal_cells)
-                 if d is not None]
-        if found:
-            field[c] = min(found)
+    """Full distance field toward the nearest of ``goal_cells``, by cell.
+
+    One breadth-first search from all the open goals at once, over
+    coordinates, independent of the grid's own fields.
+    """
+    field = {tuple(g): 0 for g in goal_cells if is_open(grid, Position(*g))}
+    queue = deque(field)
+    while queue:
+        x, y = queue.popleft()
+        for nx, ny in ((x, y - 1), (x + 1, y), (x, y + 1), (x - 1, y)):
+            if 0 <= nx < grid.width and 0 <= ny < grid.height \
+                    and (nx, ny) not in field and is_open(grid, Position(nx, ny)):
+                field[(nx, ny)] = field[(x, y)] + 1
+                queue.append((nx, ny))
     return field
 
 
@@ -254,6 +261,7 @@ def test_steps_match_a_fresh_descent(case):
                 assert grid.step_toward_label(pos, "lab") == oracle_step(to_label, origin)
     copy = pickle.loads(pickle.dumps(grid))
     assert copy._fields == {} and copy._label_steps == {}
+    assert copy._tree is None and copy._gates == {}
 
 
 @st.composite
@@ -290,6 +298,114 @@ def test_cell_steps_around_one_wall_match_a_descent(case):
     for pos, step in zip(path, path[1:] + path[-1:]):
         assert grid.step_toward_cell(pos, Position(*target)) == step
     assert shortest_path(grid, Position(*origin), Position(*target)) == path
+
+
+@st.composite
+def door_maps(draw):
+    """Rooms behind one-cell doors, some nested, some dead ends.
+
+    Each room is a wall outline with one gap in a side.  A room is drawn
+    anywhere on the map or, if there is room, inside the one before it;
+    a room with one cell inside is a dead end, and an outline drawn over
+    another may close a pocket off.  At times a wall line across the map
+    cuts it in two components.  Returns the map text.
+    """
+    width = draw(st.integers(3, 9))
+    height = draw(st.integers(3, 9))
+    glyphs = [["."] * width for _ in range(height)]
+    inside = (0, 0, width - 1, height - 1)
+    for _ in range(draw(st.integers(1, 4))):
+        left, top, right, bottom = inside if draw(st.booleans()) else \
+            (0, 0, width - 1, height - 1)
+        if right - left < 2 or bottom - top < 2:
+            left, top, right, bottom = 0, 0, width - 1, height - 1
+        x0 = draw(st.integers(left, right - 2))
+        y0 = draw(st.integers(top, bottom - 2))
+        x1 = draw(st.integers(x0 + 2, right))
+        y1 = draw(st.integers(y0 + 2, bottom))
+        sides = []
+        for y in range(y0, y1 + 1):
+            for x in range(x0, x1 + 1):
+                if x in (x0, x1) or y in (y0, y1):
+                    glyphs[y][x] = "#"
+                    if (x in (x0, x1)) != (y in (y0, y1)):
+                        sides.append((x, y))
+        x, y = draw(st.sampled_from(sides))
+        glyphs[y][x] = "."
+        inside = (x0 + 1, y0 + 1, x1 - 1, y1 - 1)
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            column = draw(st.integers(0, width - 1))
+            for row in glyphs:
+                row[column] = "#"
+        else:
+            glyphs[draw(st.integers(0, height - 1))] = ["#"] * width
+    if all(g == "#" for row in glyphs for g in row):
+        glyphs[0][0] = "."
+    return "\n".join("".join(row) for row in glyphs)
+
+
+def check_all_steps(text, order):
+    """Every (origin, target) step equals a full descent's, or is MapError.
+
+    The pairs run in ``order`` on one grid, so that cold and cached
+    fields mix; the first forty also run each on a grid of its own.
+    """
+    grid = parse_map(text, {})
+    cells = [(x, y) for y in range(grid.height) for x in range(grid.width)
+             if is_open(grid, Position(x, y))]
+    fields = {t: oracle_field(grid, [t]) for t in cells}
+    pairs = [(origin, target) for origin in cells for target in cells]
+    order.shuffle(pairs)
+    for k, (origin, target) in enumerate(pairs):
+        for g in (grid, parse_map(text, {})) if k < 40 else (grid,):
+            pos, goal = Position(*origin), Position(*target)
+            if origin in fields[target]:
+                assert g.step_toward_cell(pos, goal) == \
+                    oracle_step(fields[target], origin), (origin, target)
+            else:
+                with pytest.raises(MapError, match="no path"):
+                    g.step_toward_cell(pos, goal)
+
+
+@settings(max_examples=100, deadline=None)
+@given(door_maps(), st.randoms(use_true_random=False))
+def test_door_map_steps_match_a_full_descent(text, order):
+    check_all_steps(text, order)
+
+
+def test_demo_map_steps_match_a_full_descent():
+    # Labels do not change the open cells, so the plain map will do.
+    grid = load_scenario(demo_scenario_path()).grid
+    text = "\n".join("".join("." if is_open(grid, Position(x, y)) else "#"
+                             for x in range(grid.width)) for y in range(grid.height))
+    check_all_steps(text, random.Random(3))
+
+
+def test_walled_step_descends_toward_the_door():
+    # A one-door room below a corridor; the threshold (4, 2) is the
+    # room's first cut vertex on the way out, the doorway (4, 1) the
+    # threshold's.
+    text = "..........\n####.#####\n#........#\n#........#\n##########"
+    goal = Position(9, 0)
+    to_goal = oracle_field(parse_map(text, {}), [tuple(goal)])
+    for origin, door in (((1, 3), (4, 2)), ((4, 2), (4, 1))):
+        grid = parse_map(text, {})
+        step = grid.step_toward_cell(Position(*origin), goal)
+        assert step == oracle_step(to_goal, origin)
+        assert set(grid._fields) == {door[1] * grid.width + door[0]}
+
+
+@pytest.mark.parametrize("origin, target", [
+    (Position(0, 0), Position(-1, 0)), (Position(-1, 0), Position(0, 0)),
+    (Position(0, 0), Position(9, 9)), (Position(9, 9), Position(0, 0)),
+    (Position(4, 0), Position(0, 0)), (Position(0, 3), Position(0, 0))])
+def test_off_map_cell_queries_raise(origin, target):
+    # Index -1 would wrap to cell (3, 2), and (9, 9) lies past the end.
+    grid = parse_map("....\n.##.\n....", {})
+    for query in (grid.distance, grid.step_toward_cell):
+        with pytest.raises(MapError, match="out of bounds"):
+            query(origin, target)
 
 
 @pytest.mark.parametrize("length", [32_767, 40_000])
