@@ -4,34 +4,15 @@
 sets.  Each agent class extends its config with the state of one run, so
 a parameter is declared once and read as a direct attribute.
 
-Each agent is a mutable state machine advanced once per tick by the
-engine, in a fixed phase order:
-
-  A  resident scheduling: trip completion, departures, disorientation onset
-  B  watch: detect / intervene / escalate, then call dispatch
-  C  nurses: scan, pursue, guide
-  D  resident movement
-  E  tallies (engine)
-
-The step functions append :class:`~ecqsim.events.Event` records to the
-list they are given and draw randomness only from the streams attached
-to the agent, so a run is a pure function of (scenario, seed).
-
-The engine's scheduler steps only agents that can act, by rules kept
-beside the phases whose conditions they restate: ``wake_tick`` (phase
-A), ``passive`` (phases A and B), ``dispatch_idle`` (dispatch) and
-``anyone_lost`` (the phase C scan).  ``travel_ahead``, ``guide_ahead``
-and ``walk_home`` draw a private span ahead: ticks in which an agent
-reads and writes only its own state and streams, each tick's draws made
-in the phases' order.  Of the phase functions only ``pwd_begin_tick``
-reads what a span leaves, the onset that ``travel_ahead`` drew.
-
-``quiet_ticks`` draws world ticks rather than one agent's: a quiet tick
-has no resident awake and nothing to dispatch, so only pursuits, scans,
-steps home and lost residents' steps happen in it.  It draws them tick
-by tick, all agents together, and stops where a scan would see someone,
-a pursuit would reach its resident, or a lost resident has arrived,
-since only those emit.  The scan itself is ``sighting``, used by both.
+The phase functions (``pwd_begin_tick``; ``watch_step`` and
+``assign_calls``; ``nurse_step`` and ``end_guidance``; ``pwd_move``)
+append :class:`~ecqsim.events.Event` records to the list they are given
+and draw randomness only from the streams attached to the agent, so a
+run is a pure function of (scenario, seed).  The rest serve the engine's
+scheduler: its rules (``wake_tick``, ``passive``, ``dispatch_idle``,
+``anyone_lost``) and its draw-ahead helpers (``travel_ahead``,
+``guide_ahead``, ``walk_home``, ``quiet_ticks``), which the
+``ecqsim.engine`` module docstring states and orders.
 """
 
 from __future__ import annotations
@@ -136,7 +117,6 @@ class PwDAgent(PwDConfig):
     until: int = 0
     next_idx: int = 0
     forgot: bool | None = None  # None until drawn for the next appointment
-    moved_tick: int = -1
     onset_due: bool = False  # travel_ahead drew this tick's onset
     trip_seq: int = 0
     episode_seq: int = 0
@@ -293,12 +273,10 @@ def passive(pwd: PwDAgent, grid: GridMap) -> bool:
 def travel_ahead(pwd: PwDAgent, grid: GridMap, tick: int, horizon: int) -> int:
     """Draw an oriented traveller's ticks after ``tick`` ahead; return its wake tick.
 
-    No phase reads a traveller that is not lost: the sight scan reads
-    lost residents only, and dispatch only call targets.  So each tick
-    until phase A next acts for it is drawn here, the onset draw of
-    phase A and then the noise draw and step of phase D.  The wake tick
-    is the arrival on the trip's goal or the onset, whose draw is left
-    in ``onset_due`` for phase A, or ``horizon`` if neither comes first.
+    Each tick is phase A's onset draw, then phase D's noise draw and
+    step.  The wake tick is the arrival on the trip's goal or the onset,
+    whose draw is left in ``onset_due`` for phase A, or ``horizon`` if
+    neither comes first.
     """
     goal = pwd.trip.goal
     p_d, p_noise = pwd.p_d, pwd.p_noise
@@ -320,11 +298,9 @@ def travel_ahead(pwd: PwDAgent, grid: GridMap, tick: int, horizon: int) -> int:
 def guide_ahead(pwd: PwDAgent, grid: GridMap, tick: int, horizon: int) -> int:
     """Draw a guidance that began at ``tick`` ahead; return its GuidanceEnd tick.
 
-    Only free nurses are dispatched and only lost residents scanned, so
-    no other agent reads a guided pair.  Each later tick is the guiding
-    nurse's phase C, a noise draw and a label step, up to the step onto
-    the trip's goal; both end there, and phase D leaves the resident be
-    on that tick.  ``horizon`` if the guidance outlasts the run.
+    Each later tick is the guiding nurse's phase C: a noise draw and a
+    label step, up to the step onto the trip's goal, where both end.
+    ``horizon`` if the guidance outlasts the run.
     """
     goal = pwd.trip.goal
     p_noise, noise = pwd.p_noise, pwd.noise_rng.random
@@ -335,7 +311,6 @@ def guide_ahead(pwd: PwDAgent, grid: GridMap, tick: int, horizon: int) -> int:
         if not (p_noise > 0 and noise() < p_noise):
             pos = step(pos, goal)
             if at_label(pos, goal):
-                pwd.moved_tick = end
                 break
         end += 1
     pwd.position = pwd.nurse.position = pos
@@ -343,11 +318,7 @@ def guide_ahead(pwd: PwDAgent, grid: GridMap, tick: int, horizon: int) -> int:
 
 
 def walk_home(nurse: NurseAgent, grid: GridMap, ticks: int) -> None:
-    """Take an inactive nurse's phase-C steps of ``ticks`` ticks in which no one is lost.
-
-    Its scan finds no one, so each tick is a step toward its base, and
-    on its base it stays.
-    """
+    """An inactive nurse's phase C over ``ticks`` ticks with no one lost: steps home."""
     pos, base = nurse.position, nurse.base
     for _ in range(ticks):
         if grid.at_label(pos, base):
@@ -360,17 +331,11 @@ def quiet_ticks(movers: list[PwDAgent], nurses: list[NurseAgent], grid: GridMap,
                 tick: int, wake: int) -> int:
     """Draw the quiet ticks from ``tick`` on, before ``wake``; return the first not drawn.
 
-    A quiet tick has no resident awake and leaves dispatch idle
-    (``dispatch_idle``), so the lost residents are ``movers``, phases A
-    and B take no one, and guiding nurses stay parked.  What is left is
-    phase C's pursuit steps, scans and steps home, and phase D for the
-    movers, none of which emits unless a scan sees a lost resident, a
-    pursuit lands on its resident, or a mover steps onto its trip's
-    goal.  So each tick is drawn here, all agents in lockstep, and the
-    drawing stops before a tick whose scan or pursuit would emit
-    (``ResponseStart``, ``GuidanceStart``), for the engine to run that
-    tick in full, and after a tick in which a mover arrives, which
-    phase A sees on the next.  No nurse changes state in the ticks drawn.
+    Each tick is phase C's pursuit steps, scans and steps home, then
+    phase D for the lost residents, ``movers``, all agents in lockstep.
+    The drawing stops before a tick whose scan or pursuit would emit
+    (``ResponseStart``, ``GuidanceStart``), and after a tick in which a
+    mover steps onto its trip's goal, which phase A sees on the next.
     """
     at_label, step_cell = grid.at_label, grid.step_toward_cell
     while tick < wake:
@@ -404,7 +369,7 @@ def quiet_ticks(movers: list[PwDAgent], nurses: list[NurseAgent], grid: GridMap,
 
 def pwd_move(pwd: PwDAgent, grid: GridMap, tick: int) -> None:
     """Phase D for one resident: locomotion noise, then one step."""
-    if pwd.mode != PWD_TRAVELING or pwd.moved_tick == tick:
+    if pwd.mode != PWD_TRAVELING:
         return
     if pwd.disoriented and tick >= pwd.resample_tick:
         pwd.false_goal = _sample_false_goal(pwd, grid, pwd.trip.goal)
@@ -595,7 +560,11 @@ def sighting(nurse: NurseAgent, pwds: list[PwDAgent],
 
 def nurse_step(nurse: NurseAgent, ctx: WorldContext, tick: int,
                events: list[Event]) -> None:
-    """Phase C for one nurse: scan, pursue, or guide."""
+    """Phase C for an inactive nurse (scan) or a responding one (pursue).
+
+    A guiding nurse is parked on its drawn guidance (``guide_ahead``),
+    which ``end_guidance`` ends.
+    """
     grid = ctx.grid
 
     if nurse.state == NURSE_INACTIVE:
@@ -608,31 +577,17 @@ def nurse_step(nurse: NurseAgent, ctx: WorldContext, tick: int,
             nurse.position = grid.step_toward_label(nurse.position, nurse.base)
         return
 
-    if nurse.state == NURSE_RESPONDING:
-        pwd = nurse.target
-        if not pwd.disoriented:
-            # Reoriented (or finished the trip) before the nurse arrived.
-            if nurse.call_episode is not None:
-                events.append(Event(tick, "C", CALL_DROPPED, pwd.id, {
-                    "episode": nurse.call_episode, "reason": "aborted"}))
-            _release(nurse, ctx, tick, events)
-            return
-        nurse.position = grid.step_toward_cell(nurse.position, pwd.position)
-        if nurse.position == pwd.position:
-            _begin_guidance(nurse, pwd, tick, events)
+    pwd = nurse.target
+    if not pwd.disoriented:
+        # Reoriented (or finished the trip) before the nurse arrived.
+        if nurse.call_episode is not None:
+            events.append(Event(tick, "C", CALL_DROPPED, pwd.id, {
+                "episode": nurse.call_episode, "reason": "aborted"}))
+        _release(nurse, ctx, tick, events)
         return
-
-    if nurse.state == NURSE_GUIDING:
-        pwd = nurse.target
-        if pwd.p_noise > 0 and pwd.noise_rng.random() < pwd.p_noise:
-            return  # resident steadies themselves; nurse waits
-        step = grid.step_toward_label(pwd.position, pwd.trip.goal)
-        pwd.position = step
-        nurse.position = step
-        pwd.moved_tick = tick
-        if grid.at_label(step, pwd.trip.goal):
-            end_guidance(nurse, ctx, tick, events)
-        return
+    nurse.position = grid.step_toward_cell(nurse.position, pwd.position)
+    if nurse.position == pwd.position:
+        _begin_guidance(nurse, pwd, tick, events)
 
 
 def end_guidance(nurse: NurseAgent, ctx: WorldContext, tick: int,

@@ -32,13 +32,17 @@ travellers only.
 Every other resident sleeps in a heap until the tick at which a phase
 next acts for it, and phase E credits its mode up to that tick, capped
 at the horizon.  An idle or dwelling resident draws nothing until its
-wake tick (``agents.wake_tick``).  A traveller that is not lost is
-drawn ahead (``agents.travel_ahead``) to its arrival or its onset,
-which phase A then takes without drawing again.  A resident guided from
-this tick on is drawn ahead with its nurse (``agents.guide_ahead``) to
-the step onto its goal; the nurse is parked until then, emits
-``GuidanceEnd`` in phase C of that tick, in id order, and the resident
-rejoins the second list there.
+wake tick (``agents.wake_tick``).  A traveller that is not lost is drawn
+ahead (``agents.travel_ahead``) to its arrival or its onset, which phase
+A then takes without drawing again.  A resident guided from this tick on
+is drawn ahead with its nurse (``agents.guide_ahead``) to the step onto
+its goal.  Until then phase C passes the nurse by; in phase C of that
+tick, in id order, it emits ``GuidanceEnd``, and the resident rejoins
+the second list after phase D, so that phase D does not move it twice.
+These spans are private: their agents read and write only their own
+state and streams, each tick's draws made in the phases' order, and no
+one else reads them, as the sight scan reads lost residents only and
+dispatch sends free nurses to call targets only.
 
 Phase C skips an inactive nurse on its base while no resident is lost
 (``agents.anyone_lost``), since its scan could find no one.  After
@@ -220,6 +224,20 @@ def run_simulation(scenario: Scenario) -> EventLog:
         pwd.until = guide_ahead(pwd, grid, since, horizon)
         pwd_tallies[pwd.id][PWD_GUIDED] += pwd.until - since
 
+    def phase_e(ticks: int) -> tuple[list[PwDAgent], list[PwDAgent]]:
+        """Phase E of ``ticks`` ticks for the movers: (still lost, on their goal)."""
+        still, back = [], []
+        for pwd in movers:
+            if pwd.mode == PWD_GUIDED:  # only on a full tick
+                guide(pwd, tick)
+                continue
+            pwd_tallies[pwd.id][PWD_TRAVELING] += ticks
+            if grid.at_label(pwd.position, pwd.trip.goal):
+                back.append(pwd)
+            else:
+                still.append(pwd)
+        return still, back
+
     for pwd in pwds:  # every resident starts idle at home
         sleep(pwd, 0, wake_tick(pwd, horizon))
     awake: list[PwDAgent] = []  # in id order, as the phases take them
@@ -239,11 +257,12 @@ def run_simulation(scenario: Scenario) -> EventLog:
         # resident.  Phase C loses no one, and before such a nurse's turn
         # only a sighting leaves fewer lost, so one look serves until then.
         lost = None  # anyone_lost, looked up when first needed
+        ended = []  # residents whose guidance ends in phase C
         for nurse in nurses:
             state = nurse.state
             if state == NURSE_GUIDING:  # parked on its drawn guidance
                 if nurse.target.until == tick:
-                    movers.append(nurse.target)
+                    ended.append(nurse.target)
                     end_guidance(nurse, ctx, tick, events)
                 continue
             if state == NURSE_INACTIVE and grid.at_label(nurse.position, nurse.base):
@@ -261,18 +280,9 @@ def run_simulation(scenario: Scenario) -> EventLog:
             if pwd.mode == PWD_TRAVELING:
                 pwd_move(pwd, grid, tick)
 
-        still, back = [], []
-        for pwd in movers:
-            if pwd.mode == PWD_GUIDED:
-                guide(pwd, tick)
-                continue
-            pwd_tallies[pwd.id][PWD_TRAVELING] += 1
-            # Passive until it stands on its goal (agents.passive).
-            if grid.at_label(pwd.position, pwd.trip.goal):
-                back.append(pwd)
-            else:
-                still.append(pwd)
-        movers, still = still, back
+        movers += ended  # after phase D, which must not move them again
+        movers, back = phase_e(1)
+        still = []
         for pwd in awake:
             mode = pwd.mode
             if mode == PWD_GUIDED:
@@ -285,7 +295,7 @@ def run_simulation(scenario: Scenario) -> EventLog:
                 pwd_tallies[pwd.id][mode] += 1
                 (movers if passive(pwd, grid) else still).append(pwd)
         if back:
-            still.sort(key=_agent_id)
+            still = sorted(back + still, key=_agent_id)
         awake = still
 
         if awake or not dispatch_idle(ctx):
@@ -300,15 +310,8 @@ def run_simulation(scenario: Scenario) -> EventLog:
                 # drawn up to the first that emits an event.
                 step = quiet_ticks(movers, nurses, grid, tick + 1, wake) - tick
                 if step > 1:  # phase E of the ticks drawn
-                    still, back = [], []
-                    for pwd in movers:
-                        pwd_tallies[pwd.id][PWD_TRAVELING] += step - 1
-                        if grid.at_label(pwd.position, pwd.trip.goal):
-                            back.append(pwd)
-                        else:
-                            still.append(pwd)
-                    back.sort(key=_agent_id)
-                    movers, awake = still, back
+                    movers, awake = phase_e(step - 1)
+                    awake.sort(key=_agent_id)
             else:
                 # No one is lost, so no nurse responds: each guides along
                 # its drawn span, rests on its base or walks home.

@@ -10,12 +10,12 @@ from ecqsim.engine import (
     NurseConfig, PwDConfig, WatchConfig, _build_agents, derive_stream,
 )
 from ecqsim.agents import (
-    PwDAgent, SmartWatch, WorldContext, assign_calls, nurse_step,
-    pwd_begin_tick, pwd_move, watch_step,
+    PwDAgent, SmartWatch, WorldContext, assign_calls, end_guidance,
+    nurse_step, pwd_begin_tick, pwd_move, watch_step,
 )
 from ecqsim.events import (
     DETECTION, GUIDANCE_END, GUIDANCE_START, INTERVENTION_FAIL, NURSE_CALLED,
-    RESPONSE_START, EventLog,
+    NURSE_GUIDING, RESPONSE_START, EventLog,
 )
 from ecqsim.grid import WALL, MapError, Position, parse_map
 from ecqsim.scenario import ScenarioTemplate, load_scenario
@@ -75,8 +75,11 @@ def reference_run(scenario):
 
     It builds the agents and calls the five phase functions as the
     engine does, but steps every agent on every tick and adds one to
-    each tally, skipping nothing.  Comparing logs checks the engine's
-    scheduler alone.
+    each tally, skipping nothing.  Guidance is stepped here, a tick at a
+    time: the guiding nurse's noise draw and its step with the resident
+    toward the trip's goal, ending the guidance on the goal, after which
+    phase D leaves that resident be for the tick.  Comparing logs checks
+    the engine's scheduler and draw-ahead helpers alone.
     """
     grid = scenario.grid
     pwds, nurses = _build_agents(scenario)
@@ -90,10 +93,22 @@ def reference_run(scenario):
         for pwd in pwds:
             watch_step(pwd, tick, events, ctx.queue)
         assign_calls(ctx, tick, events)
+        ended = set()  # ids of the residents whose guidance ends this tick
         for nurse in nurses:
-            nurse_step(nurse, ctx, tick, events)
+            if nurse.state != NURSE_GUIDING:
+                nurse_step(nurse, ctx, tick, events)
+                continue
+            pwd = nurse.target
+            if pwd.p_noise > 0 and pwd.noise_rng.random() < pwd.p_noise:
+                continue  # the resident steadies themselves; the nurse waits
+            pwd.position = nurse.position = grid.step_toward_label(pwd.position,
+                                                                   pwd.trip.goal)
+            if grid.at_label(pwd.position, pwd.trip.goal):
+                ended.add(pwd.id)
+                end_guidance(nurse, ctx, tick, events)
         for pwd in pwds:
-            pwd_move(pwd, grid, tick)
+            if pwd.id not in ended:
+                pwd_move(pwd, grid, tick)
         for pwd in pwds:
             log.pwd_mode_ticks[pwd.id][pwd.mode] += 1
         for nurse in nurses:

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import bfs_oracle, corridor_grid, is_open, make_pwd, make_watch
 
 from ecqsim.agents import (
-    Appointment, Call, NurseAgent, PwDAgent, WorldContext,
-    assign_calls, nurse_step, pwd_begin_tick, pwd_move, watch_step,
+    Appointment, Call, NurseAgent, PwDAgent, WorldContext, assign_calls,
+    end_guidance, guide_ahead, nurse_step, pwd_begin_tick, pwd_move, watch_step,
 )
 from ecqsim.events import (
     CALL_DROPPED, DETECTION, DISORIENTATION_START, GUIDANCE_END,
@@ -429,19 +429,18 @@ def test_guided_walk_reaches_goal_and_ends():
     events = []
     nurse_step(nurse, ctx, 1, events)  # same cell: guidance starts at once
     assert [e.kind for e in events] == [GUIDANCE_START]
-    goal_cells = set(OPEN_ROOM.locations[pwd.trip.goal])
-    all_events = []
-    for tick in range(2, 40):
-        nurse_step(nurse, ctx, tick, all_events)
-        pwd_move(pwd, OPEN_ROOM, tick)  # must not double-move
-        if any(e.kind == GUIDANCE_END for e in all_events):
-            break
-    assert pwd.position in goal_cells
+    # Without noise the pair takes one step a tick, the last onto the goal.
+    end = guide_ahead(pwd, OPEN_ROOM, 1, 40)
+    assert end == 1 + OPEN_ROOM.label_distance(Position(2, 3), pwd.trip.goal)
+    assert pwd.position in set(OPEN_ROOM.locations[pwd.trip.goal])
+    assert nurse.position == pwd.position
+    events = []
+    end_guidance(nurse, ctx, end, events)
+    assert [e.kind for e in events] == [GUIDANCE_END]
     assert nurse.state == 0
     # Arrival is recognized on the next scheduling phase.
-    end_tick = next(e.tick for e in all_events if e.kind == GUIDANCE_END)
     trip_events = []
-    pwd_begin_tick(pwd, OPEN_ROOM, end_tick + 1, trip_events)
+    pwd_begin_tick(pwd, OPEN_ROOM, end + 1, trip_events)
     assert [e.kind for e in trip_events][0] == TRIP_END
 
 
@@ -632,12 +631,12 @@ def test_release_clears_both_links():
     # The back-references stay out of repr and ==, so the cycle is never walked.
     assert "nurse=" not in repr(pwd) and "target=" not in repr(nurse)
     assert pwd == pwd and nurse == nurse
+    nurse_step(nurse, ctx, 1, [])  # same cell: guidance starts at once
+    end = guide_ahead(pwd, OPEN_ROOM, 1, 40)
+    assert nurse.target is pwd and pwd.nurse is nurse
     events = []
-    for tick in range(1, 40):
-        nurse_step(nurse, ctx, tick, events)
-        if any(e.kind == GUIDANCE_END for e in events):
-            break
-    assert [e.kind for e in events][-1] == GUIDANCE_END
+    end_guidance(nurse, ctx, end, events)
+    assert [e.kind for e in events] == [GUIDANCE_END]
     assert pwd.nurse is None and nurse.target is None
 
     # Aborted response: the resident recovers before the nurse arrives.
@@ -662,12 +661,11 @@ def test_drop_at_release_is_stamped_phase_c():
     nurse_step(nurse, ctx, 0, [])
     assert nurse.target is pwd
     ctx.queue.append(Call(other, "P2.e1"))
+    nurse_step(nurse, ctx, 1, [])  # same cell: guidance starts at once
+    end = guide_ahead(pwd, OPEN_ROOM, 1, 40)
     events = []
-    for tick in range(1, 40):
-        nurse_step(nurse, ctx, tick, events)
-        if events[-1:] and events[-1].kind == CALL_DROPPED:
-            break
-    assert [(e.phase, e.kind, e.subject) for e in events[-2:]] == [
+    end_guidance(nurse, ctx, end, events)
+    assert [(e.phase, e.kind, e.subject) for e in events] == [
         ("C", GUIDANCE_END, "N1"), ("C", CALL_DROPPED, "P2")]
     assert events[-1].payload == {"episode": "P2.e1", "reason": "resolved"}
     assert not ctx.queue and nurse.state == NURSE_INACTIVE

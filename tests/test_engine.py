@@ -101,14 +101,16 @@ def scheduled_phase_calls(scenario):
     drawn ahead; phases A and B never take a silent resident (one lost
     this very tick aside, which phase E has not yet seen); a phase-C
     call on an inactive nurse standing on its base must find a resident
-    disoriented with no nurse responding, and one on a guiding nurse
-    must end the guidance; phase D never takes a guided resident.  The
-    log must still equal the reference's.
+    disoriented with no nurse responding, and phase C never steps a
+    guiding nurse, which stays parked on its drawn guidance; phase D
+    never takes a guided resident, nor one whose ``GuidanceEnd`` came
+    earlier in the same tick.  The log must still equal the reference's.
     """
     calls = Counter()
     begin_tick, nurse_step = ecqsim.engine.pwd_begin_tick, ecqsim.engine.nurse_step
     watch_step, pwd_move = ecqsim.engine.watch_step, ecqsim.engine.pwd_move
-    lost_at = {}
+    end_guidance = ecqsim.engine.end_guidance
+    lost_at, ended_at = {}, {}
 
     def checked_begin_tick(pwd, grid, tick, events):
         calls["A"] += 1
@@ -133,20 +135,24 @@ def scheduled_phase_calls(scenario):
         if nurse.state == NURSE_INACTIVE and ctx.grid.at_label(nurse.position, nurse.base):
             assert any(p.disoriented and p.nurse is None for p in ctx.pwds), \
                 (nurse.id, tick)
-        guiding, count = nurse.state == NURSE_GUIDING, len(events)
+        assert nurse.state != NURSE_GUIDING, (nurse.id, tick)
         nurse_step(nurse, ctx, tick, events)
-        if guiding:
-            assert [e.kind for e in events[count:]][:1] == [GUIDANCE_END], (nurse.id, tick)
+
+    def checked_end_guidance(nurse, ctx, tick, events):
+        ended_at[nurse.target.id] = tick
+        end_guidance(nurse, ctx, tick, events)
 
     def checked_pwd_move(pwd, grid, tick):
         calls["D"] += 1
         assert pwd.mode != PWD_GUIDED, (pwd.id, tick)
+        assert ended_at.get(pwd.id) != tick, (pwd.id, tick)
         pwd_move(pwd, grid, tick)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ecqsim.engine, "pwd_begin_tick", checked_begin_tick)
         patch.setattr(ecqsim.engine, "watch_step", checked_watch_step)
         patch.setattr(ecqsim.engine, "nurse_step", checked_nurse_step)
+        patch.setattr(ecqsim.engine, "end_guidance", checked_end_guidance)
         patch.setattr(ecqsim.engine, "pwd_move", checked_pwd_move)
         text = run_simulation(scenario).to_text()
     assert text == reference_run(scenario).to_text()
@@ -176,8 +182,10 @@ def test_scheduler_contract_on_generated_facilities(template):
 
 # Spans that the horizon cuts: the run must still equal the every-tick
 # reference.  Two mutations must fail the span tests.  Leaving the nurse
-# of a guidance that the horizon cuts off unparked, so that phase C steps
-# it again, fails test_guidance_past_the_horizon_parks_its_nurse_through_full_ticks
+# of a guidance that the horizon cuts off unparked, so that phase C hands
+# it to nurse_step, fails checked_nurse_step's assertion that no guiding
+# nurse reaches nurse_step, in
+# test_guidance_past_the_horizon_parks_its_nurse_through_full_ticks
 # (a quiet tick steps no guiding nurse, parked or not).
 # Drawing a traveller's noise before its onset in agents.travel_ahead
 # fails test_scheduler_steps_only_agents_that_can_act.  The generated

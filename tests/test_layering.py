@@ -4,7 +4,9 @@ Each module may import only modules earlier in ``LAYERS``; the package
 ``__init__`` re-exports everything and is exempt, but every name it
 exports must resolve and be listed once.  Every public function, class
 and method is used by the package itself, not only by the tests, and
-every exception class is caught by name somewhere in the package.
+every exception class is caught by name somewhere in the package.  The
+every-tick reference in ``conftest.py`` calls none of the engine's
+draw-ahead helpers, so that it stays a second statement of the model.
 """
 
 import ast
@@ -24,10 +26,27 @@ USED_OUTSIDE_THE_PACKAGE = {
     "EventLog.from_text": "perfbench/checks.py and the README's round trip "
                           "read a written log back",
 }
+# What the engine runs and ``reference_run`` must not: the draw-ahead
+# helpers, the engine's local phase E, and the engine itself.
+DRAW_AHEAD = ("travel_ahead", "guide_ahead", "walk_home", "quiet_ticks",
+              "phase_e", "run_simulation")
 
 
 def parse(module: str) -> ast.Module:
     return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def names_in(tree: ast.AST) -> set[str]:
+    """Names, attributes and imported names that ``tree`` mentions."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
 
 
 def relative_imports(module: str) -> set[str]:
@@ -77,13 +96,7 @@ def test_every_public_name_is_used_by_the_package():
                 defined.update(f"{node.name}.{item.name}" for item in node.body
                                if isinstance(item, ast.FunctionDef)
                                and not item.name.startswith("_"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
+        used |= names_in(tree)
     unused = {name for name in defined if name.rpartition(".")[2] not in used}
     assert sorted(unused - set(USED_OUTSIDE_THE_PACKAGE)) == []
     assert set(USED_OUTSIDE_THE_PACKAGE) <= unused, "a stale exemption"
@@ -108,3 +121,15 @@ def test_every_exception_is_caught_by_name():
                 caught.update(ast.unparse(t).rpartition(".")[2] for t in types)
     assert defined, "no exception classes found"
     assert sorted(defined - caught) == []
+
+
+def test_reference_run_calls_no_draw_ahead_helper():
+    defined = {node.name for module in ("agents", "engine")
+               for node in ast.walk(parse(module)) if isinstance(node, ast.FunctionDef)}
+    assert set(DRAW_AHEAD) <= defined, "a stale helper name"
+    conftest = ast.parse((Path(__file__).parent / "conftest.py").read_text(encoding="utf-8"))
+    reference = next(node for node in conftest.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "reference_run")
+    imports = [node for node in conftest.body if isinstance(node, ast.ImportFrom)]
+    assert sorted(set(DRAW_AHEAD) & names_in(reference)) == []
+    assert sorted(set(DRAW_AHEAD) & set().union(*map(names_in, imports))) == []
